@@ -34,7 +34,12 @@ from typing import Optional, Sequence
 from .core.config import EBRRConfig
 from .core.ebrr import plan_route
 from .datasets.registry import available_cities, load_city
-from .eval.experiments import calibrated_alpha, dataset_statistics, effect_of_k
+from .eval.experiments import (
+    calibrated_alpha,
+    calibrated_instance,
+    dataset_statistics,
+    effect_of_k,
+)
 from .eval.export import rows_to_csv
 from .eval.reporting import format_series, format_table
 from .lint.baseline import DEFAULT_BASELINE_NAME
@@ -401,28 +406,40 @@ def _resolve_runtime_choices(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from contextlib import nullcontext
+    from dataclasses import replace
+
+    from .network.engine import engine_for
     from .obs import tracing
 
     code = _resolve_runtime_choices(args)
     if code:
         return code
     dataset = load_city(args.city, scale=args.scale)
-    alpha = args.alpha if args.alpha is not None else calibrated_alpha(dataset)
-    instance = dataset.instance(alpha)
-    config = EBRRConfig(
-        max_stops=args.max_stops,
-        max_adjacent_cost=args.max_adjacent_cost,
-        alpha=alpha,
-        workers=args.workers,
-        kernel=args.kernel,
-        preprocess_strategy=args.preprocess_strategy,
-    )
-    if args.trace:
-        with tracing() as trace:
-            result = plan_route(instance, config)
+    engine = engine_for(dataset.network, kernel=args.kernel)
+    stats_base = engine.snapshot()
+    with tracing() if args.trace else nullcontext() as trace:
+        # One Algorithm 2 run calibrates α and is then planned on.
+        alpha, instance, preprocess = calibrated_instance(
+            dataset, args.alpha, engine=engine, workers=args.workers,
+            strategy=args.preprocess_strategy,
+        )
+        preprocess_stats = engine.stats_since(stats_base)
+        config = EBRRConfig(
+            max_stops=args.max_stops,
+            max_adjacent_cost=args.max_adjacent_cost,
+            alpha=alpha,
+            workers=args.workers,
+            kernel=args.kernel,
+            preprocess_strategy=args.preprocess_strategy,
+        )
+        result = plan_route(instance, config, preprocess=preprocess, engine=engine)
+        if trace is not None:
+            trace.metrics.absorb_search_profile(preprocess_stats)
+    if trace is not None:
         _write_trace(trace, args.trace)
-    else:
-        result = plan_route(instance, config)
+    # The search profile covers the Algorithm 2 run made before plan_route.
+    result = replace(result, search_stats=engine.stats_since(stats_base))
     print(f"{dataset.name} (scale {args.scale}), alpha={alpha:.2f}")
     print(result.summary())
     print("stops:", " -> ".join(str(s) for s in result.route.stops))
@@ -433,12 +450,10 @@ def _cmd_plan(args) -> int:
         print(explain_result(instance, result))
     if args.profile_searches:
         from .core.diagnostics import search_stats_table
-        from .network.engine import engine_for
 
         print()
         if not args.explain:  # --explain already embeds the phase table
             print(search_stats_table(result))
-        engine = engine_for(instance.network)
         print(f"search kernel: {engine.kernel_name}")
         info = engine.cache_info()
         print(

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -142,6 +142,25 @@ class PreprocessResult:
     searches: int = 0
     settled_nodes: int = 0
     strategy: str = DEFAULT_PREPROCESS_STRATEGY
+
+    def repriced(self, instance: BRRInstance) -> "PreprocessResult":
+        """This artifact at ``instance.alpha``.
+
+        Only the existing-stop entries ``initial_utility[s] = α ·
+        degree(s)`` depend on ``α``; everything else is a function of
+        the network, the stops and the demand.  So for an ``instance``
+        over the same transit and demand as the one this was computed
+        for, the copy equals :func:`preprocess_queries` run from scratch
+        on ``instance``, field for field and in dict insertion order
+        (the existing stops are inserted last, and rewriting a key keeps
+        its position).  ``nn_distance`` and ``rnn`` are shared, not
+        copied: no consumer mutates them (:func:`~repro.core.update.
+        update_preprocess` copies before it edits).
+        """
+        utility = dict(self.initial_utility)
+        for stop in instance.existing_stops:
+            utility[stop] = instance.alpha * instance.transit.degree(stop)
+        return replace(self, initial_utility=utility)
 
     def utility_order(self) -> List[Tuple[float, int]]:
         """``(U(v), v)`` pairs in decreasing utility order — the queue

@@ -21,7 +21,7 @@ Real data drops in through :func:`repro.network.read_dimacs` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.utility import BRRInstance
@@ -55,6 +55,9 @@ class CityDataset:
             effect-of-Q partition; ``None`` means "partition by
             vertical bands" (Chicago's Dataset1-4).
         scale: the linear scale it was generated at.
+        alpha_bases: the base ``α`` of
+            :func:`repro.eval.experiments.calibrated_alpha` per
+            ``top_k``, kept on the dataset it was computed from.
     """
 
     name: str
@@ -63,6 +66,9 @@ class CityDataset:
     queries: QuerySet
     regions: Optional[List[Tuple[str, Point]]] = None
     scale: float = 1.0
+    alpha_bases: Dict[int, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def instance(self, alpha: float, *, queries: Optional[QuerySet] = None) -> BRRInstance:
         """A BRR instance over this city (optionally a demand subset)."""

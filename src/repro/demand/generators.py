@@ -89,11 +89,16 @@ def hotspot_demand(
     num_background = int(num_nodes * background_fraction)
     for _ in range(num_background):
         nodes.append(int(rng.integers(0, network.num_nodes)))
-    for _ in range(num_nodes - num_background):
+    # The scalar draws interleave integers and normals, and that stream
+    # is what pins the data; the samples are snapped in one batch after.
+    num_sampled = num_nodes - num_background
+    xs = np.empty(num_sampled)
+    ys = np.empty(num_sampled)
+    for i in range(num_sampled):
         cx, cy = coords[centers[int(rng.integers(0, len(centers)))]]
-        x = cx + rng.normal(0.0, sigma_km)
-        y = cy + rng.normal(0.0, sigma_km)
-        nodes.append(index.nearest((x, y)))
+        xs[i] = cx + rng.normal(0.0, sigma_km)
+        ys[i] = cy + rng.normal(0.0, sigma_km)
+    nodes.extend(index.nearest_many(xs, ys).tolist())
     return QuerySet(network, nodes, name=name)
 
 
@@ -121,17 +126,22 @@ def commute_demand(
     residential = [
         coords[int(rng.integers(0, network.num_nodes))] for _ in range(num_residential)
     ]
-    queries: List[TransitQuery] = []
-    for _ in range(num_queries):
+    # Origins in the even slots, destinations in the odd ones, drawn in
+    # the scalar order and snapped in one batch.
+    xs = np.empty(2 * num_queries)
+    ys = np.empty(2 * num_queries)
+    for i in range(num_queries):
         rx, ry = residential[int(rng.integers(0, num_residential))]
-        origin = index.nearest(
-            (rx + rng.normal(0, sigma_km), ry + rng.normal(0, sigma_km))
-        )
-        destination = index.nearest(
-            (core[0] + rng.normal(0, sigma_km), core[1] + rng.normal(0, sigma_km))
-        )
-        if origin != destination:
-            queries.append(TransitQuery(origin, destination))
+        xs[2 * i] = rx + rng.normal(0, sigma_km)
+        ys[2 * i] = ry + rng.normal(0, sigma_km)
+        xs[2 * i + 1] = core[0] + rng.normal(0, sigma_km)
+        ys[2 * i + 1] = core[1] + rng.normal(0, sigma_km)
+    snapped = index.nearest_many(xs, ys).tolist()
+    queries = [
+        TransitQuery(origin, destination)
+        for origin, destination in zip(snapped[0::2], snapped[1::2])
+        if origin != destination
+    ]
     if not queries:
         raise DemandError("commute_demand produced no distinct OD pairs")
     return queries

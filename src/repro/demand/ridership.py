@@ -80,17 +80,19 @@ def ridership_demand(
         network, transit, num_growth_clusters, rng
     )
 
+    # Draw every sample in the scalar order, then snap them in one batch.
     num_growth = round(num_nodes * growth_fraction)
-    nodes: List[int] = []
-    for _ in range(num_nodes - num_growth):
-        stop = stops[int(rng.choice(len(stops), p=weights))]
-        cx, cy = coords[stop]
-        nodes.append(index.nearest((cx + rng.normal(0, sigma_km), cy + rng.normal(0, sigma_km))))
-    for _ in range(num_growth):
-        center = growth_centers[int(rng.integers(0, len(growth_centers)))]
-        cx, cy = coords[center]
-        nodes.append(index.nearest((cx + rng.normal(0, sigma_km), cy + rng.normal(0, sigma_km))))
-    return QuerySet(network, nodes, name=name)
+    xs = np.empty(num_nodes)
+    ys = np.empty(num_nodes)
+    for i in range(num_nodes):
+        if i < num_nodes - num_growth:
+            cx, cy = coords[stops[int(rng.choice(len(stops), p=weights))]]
+        else:
+            center = growth_centers[int(rng.integers(0, len(growth_centers)))]
+            cx, cy = coords[center]
+        xs[i] = cx + rng.normal(0, sigma_km)
+        ys[i] = cy + rng.normal(0, sigma_km)
+    return QuerySet(network, index.nearest_many(xs, ys).tolist(), name=name)
 
 
 def _growth_cluster_centers(

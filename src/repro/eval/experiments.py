@@ -13,12 +13,14 @@ from ..baselines.base import RoutePlanner
 from ..core.config import EBRRConfig
 from ..core.ebrr import plan_route
 from ..core.exact import optimal_stop_set
+from ..core.preprocess import PreprocessResult, preprocess_queries
 from ..core.utility import BRRInstance
 from ..datasets.cities import PAPER_SIZES, CityDataset
 from ..datasets.small import SmallExtract
 from ..demand.partition import by_regions, vertical_bands
 from ..demand.query import QuerySet
 from ..exceptions import ConfigurationError
+from ..network.engine import SearchEngine
 from ..obs import span
 from ..transit.journey import travel_cost_decrease
 from .metrics import approximation_ratio, uncovered_demand_coverage
@@ -40,11 +42,12 @@ def scaled_alpha(dataset: CityDataset, paper_alpha: float) -> float:
     return max(paper_alpha * len(dataset.queries) / paper_q, 1e-6)
 
 
-_ALPHA_CACHE: Dict[Tuple[int, int], float] = {}
-
-
 def calibrated_alpha(
-    dataset: CityDataset, *, balance: float = 0.25, top_k: int = 30
+    dataset: CityDataset,
+    *,
+    balance: float = 0.25,
+    top_k: int = 30,
+    preprocess: Optional[PreprocessResult] = None,
 ) -> float:
     """Choose ``α`` from the data so the two utility terms compete.
 
@@ -57,24 +60,56 @@ def calibrated_alpha(
     reproduces the paper's regime where EBRR mixes demand stops with
     transfer hubs.  The 0.25 default makes a four-route hub worth one
     top demand stop — calibrated so EBRR dominates the baselines on
-    *both* axes across K, as in Figs. 7/8.  Cached per (dataset,
-    top_k); ``balance`` rescales the cached base value.
+    *both* axes across K, as in Figs. 7/8.
+
+    ``preprocess`` is an Algorithm 2 result for ``dataset.instance(a)``
+    at any ``a`` (candidate gains do not depend on ``α``); without it,
+    one is computed at ``α = 1``.  The base value is kept per ``top_k``
+    on the dataset (:attr:`CityDataset.alpha_bases`); ``balance``
+    rescales it.
     """
     if balance <= 0:
         raise ConfigurationError(f"balance must be positive, got {balance}")
-    key = (id(dataset), top_k)
-    if key not in _ALPHA_CACHE:
-        from ..core.preprocess import preprocess_queries
-
-        instance = dataset.instance(1.0)
-        pre = preprocess_queries(instance)
+    if top_k not in dataset.alpha_bases:
+        if preprocess is None:
+            preprocess = preprocess_queries(dataset.instance(1.0))
+        existing = set(dataset.transit.existing_stops)
         gains = sorted(
-            (pre.initial_utility[v] for v in instance.candidates), reverse=True
+            (
+                gain
+                for stop, gain in preprocess.initial_utility.items()
+                if stop not in existing
+            ),
+            reverse=True,
         )
         top = gains[: max(1, top_k)]
-        mean_gain = sum(top) / len(top)
-        _ALPHA_CACHE[key] = max(mean_gain, 1e-6)
-    return balance * _ALPHA_CACHE[key]
+        dataset.alpha_bases[top_k] = max(sum(top) / len(top), 1e-6)
+    return balance * dataset.alpha_bases[top_k]
+
+
+def calibrated_instance(
+    dataset: CityDataset,
+    alpha: Optional[float] = None,
+    *,
+    engine: Optional[SearchEngine] = None,
+    workers: int = 1,
+    strategy: Optional[str] = None,
+) -> Tuple[float, BRRInstance, PreprocessResult]:
+    """``(α, instance, preprocess)`` for planning on ``dataset`` with
+    one Algorithm 2 run: ``α`` is calibrated from that run's candidate
+    gains (unless given), and the run is repriced to ``α``.  The result
+    equals ``preprocess_queries(dataset.instance(α))`` on the same
+    engine, workers and strategy.
+    """
+    instance = dataset.instance(1.0 if alpha is None else alpha)
+    preprocess = preprocess_queries(
+        instance, engine=engine, workers=workers, strategy=strategy
+    )
+    if alpha is None:
+        alpha = calibrated_alpha(dataset, preprocess=preprocess)
+        instance = dataset.instance(alpha)
+        preprocess = preprocess.repriced(instance)
+    return alpha, instance, preprocess
 
 
 # ----------------------------------------------------------------------

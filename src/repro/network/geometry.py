@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 Point = Tuple[float, float]
 
 
@@ -79,6 +81,15 @@ def points_within_radius(
     return result
 
 
+#: Pairs (sample, node) examined per chunk of :meth:`GridIndex.nearest_many`,
+#: which bounds its temporary arrays to a few MB.
+_PAIR_BUDGET = 1 << 18
+
+#: A batched answer is accepted only if it beats every other node of its
+#: 3x3 cell block by more than this relative margin on squared distance.
+_TIE_MARGIN = 1e-9
+
+
 class GridIndex:
     """A uniform spatial hash over planar points.
 
@@ -97,6 +108,14 @@ class GridIndex:
         self._buckets: dict = {}
         for idx, (x, y) in enumerate(self._points):
             self._buckets.setdefault(self._key(x, y), []).append(idx)
+        # The buckets never change after construction, so neither does
+        # the ring count that bounds a scalar search.
+        self._max_ring = 0
+        if self._buckets:
+            kxs = [k[0] for k in self._buckets]
+            kys = [k[1] for k in self._buckets]
+            self._max_ring = (max(kxs) - min(kxs)) + (max(kys) - min(kys)) + 2
+        self._cells: "_CellTable | None" = None
 
     def _key(self, x: float, y: float) -> Tuple[int, int]:
         return (int(math.floor(x / self._cell)), int(math.floor(y / self._cell)))
@@ -119,8 +138,7 @@ class GridIndex:
         best_idx = -1
         best_d2 = math.inf
         ring = 0
-        max_ring = self._max_ring()
-        while ring <= max_ring:
+        while ring <= self._max_ring:
             found_any = False
             for key in self._ring_keys(cx, cy, ring):
                 for idx in self._buckets.get(key, ()):
@@ -137,6 +155,43 @@ class GridIndex:
             ring += 1
         return best_idx
 
+    def nearest_many(self, xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:
+        """:meth:`nearest` of every ``(xs[i], ys[i])``, as an int64 array
+        equal element for element to ``[nearest(p) for p in zip(xs, ys)]``.
+
+        One numpy pass takes each sample's best point in the 3x3 cell
+        block around it.  Every point outside that block is at least one
+        cell away, so the block's best is the nearest point when it is
+        closer than one cell; when it also beats every other point of
+        the block by a clear relative margin, the scalar ring order
+        cannot tie-break it differently.  Every other sample (a near
+        tie, no point within a cell) is answered by :meth:`nearest`,
+        which stays the reference.
+
+        Raises:
+            ValueError: if ``xs`` and ``ys`` differ in length, or the
+                index is empty and there are samples.
+        """
+        qx = np.asarray(xs, dtype=np.float64).ravel()
+        qy = np.asarray(ys, dtype=np.float64).ravel()
+        if qx.size != qy.size:
+            raise ValueError(
+                f"nearest_many() got {qx.size} xs but {qy.size} ys"
+            )
+        out = np.full(qx.size, -1, dtype=np.int64)
+        if qx.size == 0:
+            return out
+        if not self._points:
+            raise ValueError("nearest_many() on an empty GridIndex")
+        if self._cells is None:
+            self._cells = _CellTable(self._points, self._cell)
+        for start in range(0, qx.size, _SAMPLE_BLOCK):
+            stop = start + _SAMPLE_BLOCK
+            self._cells.snap(qx[start:stop], qy[start:stop], out[start:stop])
+        for i in np.flatnonzero(out < 0).tolist():
+            out[i] = self.nearest((float(qx[i]), float(qy[i])))
+        return out
+
     def within(self, point: Point, radius: float) -> List[int]:
         """Indices of all points within ``radius`` of ``point``."""
         result = []
@@ -151,14 +206,6 @@ class GridIndex:
                         result.append(idx)
         return result
 
-    def _max_ring(self) -> int:
-        keys = self._buckets.keys()
-        if not keys:
-            return 0
-        xs = [k[0] for k in keys]
-        ys = [k[1] for k in keys]
-        return (max(xs) - min(xs)) + (max(ys) - min(ys)) + 2
-
     @staticmethod
     def _ring_keys(cx: int, cy: int, ring: int):
         if ring == 0:
@@ -170,3 +217,105 @@ class GridIndex:
         for dy in range(-ring + 1, ring):
             yield (cx - ring, cy + dy)
             yield (cx + ring, cy + dy)
+
+
+#: Samples whose 3x3 block slices are looked up at once.
+_SAMPLE_BLOCK = 1 << 15
+
+_BLOCK_OFFSETS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+
+
+class _CellTable:
+    """A :class:`GridIndex`'s points as numpy arrays sorted by cell, for
+    :meth:`GridIndex.nearest_many`.  Cell ``(kx, ky)`` is the same
+    ``floor(coord / cell)`` key the buckets use, offset by one so that
+    every neighbour of an occupied cell has a non-negative id."""
+
+    def __init__(self, points: Sequence[Point], cell: float) -> None:
+        xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        self.x = xy[:, 0].copy()
+        self.y = xy[:, 1].copy()
+        self.cell = cell
+        kx = np.floor(self.x / cell)
+        ky = np.floor(self.y / cell)
+        self.kx0 = kx.min() - 1.0
+        self.ky0 = ky.min() - 1.0
+        self.width = int(kx.max() - self.kx0) + 2
+        self.height = int(ky.max() - self.ky0) + 2
+        ids = (kx - self.kx0).astype(np.int64) * self.height + (
+            ky - self.ky0
+        ).astype(np.int64)
+        self.order = np.argsort(ids, kind="stable")
+        self.cells, starts = np.unique(ids[self.order], return_index=True)
+        self.starts = starts.astype(np.int64)
+        self.ends = np.append(self.starts[1:], ids.size)
+
+    def snap(self, qx: np.ndarray, qy: np.ndarray, out: np.ndarray) -> None:
+        """Write the accepted nearest point of each sample into ``out``
+        (a view); rejected samples keep ``-1``."""
+        gx = np.clip(np.floor(qx / self.cell) - self.kx0, -1, self.width)
+        gy = np.clip(np.floor(qy / self.cell) - self.ky0, -1, self.height)
+        gx = gx.astype(np.int64)
+        gy = gy.astype(np.int64)
+        # Per sample and block cell: where the cell's points start in
+        # the sorted order, and how many there are.
+        lo = np.zeros((qx.size, len(_BLOCK_OFFSETS)), dtype=np.int64)
+        size = np.zeros_like(lo)
+        last = self.cells.size - 1
+        for j, (dx, dy) in enumerate(_BLOCK_OFFSETS):
+            cx = gx + dx
+            cy = gy + dy
+            cid = cx * self.height + cy
+            pos = np.minimum(np.searchsorted(self.cells, cid), last)
+            hit = (
+                (cx >= 0) & (cx < self.width) & (cy >= 0) & (cy < self.height)
+                & (self.cells[pos] == cid)
+            )
+            lo[:, j] = np.where(hit, self.starts[pos], 0)
+            size[:, j] = np.where(hit, self.ends[pos] - self.starts[pos], 0)
+        ends = np.cumsum(size.sum(axis=1))
+        start = 0
+        while start < qx.size:
+            done = ends[start - 1] if start else 0
+            stop = max(
+                start + 1,
+                int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right")),
+            )
+            self._snap_pairs(
+                qx[start:stop], qy[start:stop], lo[start:stop],
+                size[start:stop], out[start:stop],
+            )
+            start = stop
+
+    def _snap_pairs(
+        self,
+        qx: np.ndarray,
+        qy: np.ndarray,
+        lo: np.ndarray,
+        size: np.ndarray,
+        out: np.ndarray,
+    ) -> None:
+        lens = size.ravel()
+        total = int(lens.sum())
+        if total == 0:
+            return
+        # Every (sample, point-in-block) pair, sample-major.
+        counts = size.sum(axis=1)
+        sample = np.repeat(np.arange(qx.size), counts)
+        offset = np.repeat(lo.ravel() - (np.cumsum(lens) - lens), lens)
+        node = self.order[offset + np.arange(total)]
+        d2 = (self.x[node] - qx[sample]) ** 2 + (self.y[node] - qy[sample]) ** 2
+        has = counts > 0
+        firsts = (np.cumsum(counts) - counts)[has]
+        best = np.minimum.reduceat(d2, firsts)
+        best_of_pair = np.repeat(best, counts[has])
+        near = np.add.reduceat(
+            (d2 <= best_of_pair * (1.0 + _TIE_MARGIN)).astype(np.int64), firsts
+        )
+        winner = np.maximum.reduceat(
+            np.where(d2 == best_of_pair, np.arange(total), -1), firsts
+        )
+        accept = (near == 1) & (
+            best < self.cell * self.cell * (1.0 - _TIE_MARGIN)
+        )
+        out[np.flatnonzero(has)[accept]] = node[winner[accept]]

@@ -31,8 +31,9 @@ endpoints are admitted, deadline-bounded, and shed with 429/503.
 own request-scoped :class:`~repro.obs.Trace` rooted at a ``request``
 span carrying the request id, so the planner's phase spans nest under
 it.  With ``--trace-dir`` each request is exported as one JSONL file
-(``<request-id>.jsonl``); with ``$REPRO_STORE`` set each request also
-lands as a run row (kind ``serve``) with latency metrics plus a trace
+(``<request-id>.jsonl``; ids carry a per-boot token, so they are unique
+across restarts); with ``$REPRO_STORE`` set each request also lands as
+a run row (kind ``serve``) with latency metrics plus a trace
 pointer joined to it.
 
 Identity guarantee: responses carry exactly the fields of the
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import secrets
 import threading
 from dataclasses import asdict
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
@@ -267,6 +269,9 @@ class PlanService:
         # global and warm tenant state is unlocked, so every compute
         # request runs alone in here (see the module docstring).
         self._compute_lock = threading.Lock()
+        # Ids carry a per-boot token, so a restarted daemon writing into
+        # the same --trace-dir never overwrites an earlier run's files.
+        self._boot = secrets.token_hex(4)
         self._request_ids = itertools.count(1)
         self._started = now()
         self._served = 0
@@ -277,7 +282,7 @@ class PlanService:
         self, method: str, path: str, payload: Optional[Mapping[str, Any]]
     ) -> Response:
         """Route one request; never raises on client errors."""
-        request_id = f"req-{next(self._request_ids):06d}"
+        request_id = f"req-{self._boot}-{next(self._request_ids):06d}"
         try:
             return self._dispatch(method, path, payload, request_id)
         except ApiError as exc:

@@ -9,7 +9,8 @@ together with everything expensive the planner derives from it:
   configured kernel and an optional explicit cache capacity so the
   long-lived process has bounded memory;
 * the Algorithm 2 :class:`~repro.core.preprocess.PreprocessResult`
-  (``nn_distance``/``rnn``/``initial_utility``), computed once and
+  (``nn_distance``/``rnn``/``initial_utility``), computed once (at
+  boot when ``α`` is calibrated, which needs the same run) and
   repaired *incrementally* by :func:`~repro.core.update.
   update_preprocess` when ``/v1/update`` changes the demand — the
   demand-change-proportional path, never a cold replan;
@@ -18,11 +19,13 @@ together with everything expensive the planner derives from it:
   both invalidated by updates and rebuilt lazily.
 
 Identity guarantee: a tenant's state is only ever (a) the same objects
-a direct caller would build, or (b) incremental repairs the equivalence
-suites prove value-identical to scratch recomputation.  Engine caches
-never change results (only hit rates), so a response served warm is
-bit-identical to a cold in-process ``plan_route`` under the same
-config — ``tests/serve/`` asserts exactly that.
+a direct caller would build, (b) the boot-time Algorithm 2 run repriced
+from the calibration ``α`` to the tenant's (equal to a scratch run at
+that ``α``, field for field), or (c) incremental repairs the
+equivalence suites prove value-identical to scratch recomputation.
+Engine caches never change results (only hit rates), so a response
+served warm is bit-identical to a cold in-process ``plan_route`` under
+the same config — ``tests/serve/`` asserts exactly that.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from ..core.utility import BRRInstance
 from ..datasets.cities import CityDataset
 from ..datasets.registry import load_city
 from ..demand.query import QuerySet
-from ..eval.experiments import calibrated_alpha
+from ..eval.experiments import calibrated_instance
 from ..exceptions import ConfigurationError, DemandError
 from ..network.engine import SearchEngine, engine_for
 from ..transit.journey import JourneyPlanner
@@ -100,16 +103,26 @@ class Tenant:
         self.dataset: CityDataset = load_city(
             spec.city, scale=spec.scale, seed=spec.seed
         )
-        self.alpha: float = (
-            spec.alpha if spec.alpha is not None else calibrated_alpha(self.dataset)
-        )
-        self.instance: BRRInstance = self.dataset.instance(self.alpha)
         self.engine: SearchEngine = engine_for(
-            self.instance.network, kernel=spec.kernel
+            self.dataset.network, kernel=spec.kernel
         )
         if spec.cache_capacity is not None:
             self.engine.set_cache_capacity(spec.cache_capacity)
         self.preprocess: Optional[PreprocessResult] = None
+        self.alpha: float
+        self.instance: BRRInstance
+        if spec.alpha is None:
+            # Calibrating α needs the Algorithm 2 run the tenant keeps
+            # resident anyway: one run serves both.
+            self.alpha, self.instance, self.preprocess = calibrated_instance(
+                self.dataset,
+                engine=self.engine,
+                workers=spec.workers,
+                strategy=spec.preprocess_strategy,
+            )
+        else:
+            self.alpha = spec.alpha
+            self.instance = self.dataset.instance(spec.alpha)
         self.updates_applied = 0
         self.plans_served = 0
         self._default_plan: Optional[EBRRResult] = None

@@ -44,6 +44,9 @@ class PlanHTTPServer(ThreadingHTTPServer):
 class _RequestHandler(BaseHTTPRequestHandler):
     server: PlanHTTPServer
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle on, the body
+    # waits for the client's delayed ACK (~40 ms on loopback).
+    disable_nagle_algorithm = True
     server_version = "repro-serve"
     sys_version = ""
 

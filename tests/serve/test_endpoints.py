@@ -6,7 +6,10 @@ a service that leaks ``Traceback (most recent call last)`` to clients
 leaks its internals.
 """
 
+import http.client
 import json
+import statistics
+import time
 
 from .conftest import CITY
 
@@ -50,6 +53,23 @@ class TestGetEndpoints:
             assert isinstance(cache[key], int)
         assert 0.0 <= cache["hit_rate"] <= 1.0
         assert "search.total.searches" in tenant
+
+    def test_keep_alive_round_trip_is_not_held_by_nagle(self, live):
+        """Headers and body leave in two writes; with Nagle's algorithm
+        on, the body waits for the client's delayed ACK (~40 ms)."""
+        conn = http.client.HTTPConnection("127.0.0.1", live.port, timeout=10)
+        try:
+            samples = []
+            for _ in range(20):
+                started = time.perf_counter()
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+                samples.append((time.perf_counter() - started) * 1e3)
+        finally:
+            conn.close()
+        assert statistics.median(samples) < 10.0, samples
 
     def test_unknown_path_404(self, live):
         status, body = live.get("/v1/nope")

@@ -47,6 +47,20 @@ class TestTraceExport:
         harness.get("/v1/stats")
         assert len(request_files(trace_dir)) == 3
 
+    def test_restart_keeps_earlier_runs_files(self, tmp_path, make_harness):
+        """Two boots sharing one trace dir: the second must not
+        overwrite the first's request files."""
+        trace_dir = tmp_path / "shared"
+        ids = []
+        for _ in range(2):
+            harness = make_harness(trace_dir=str(trace_dir))
+            status, body = harness.post("/v1/plan", {"dataset": CITY})
+            assert status == 200
+            ids.append(body["request_id"])
+        assert ids[0] != ids[1]
+        names = {path.name for path in request_files(trace_dir)}
+        assert names == {f"{rid}.jsonl" for rid in ids}
+
     def test_request_ids_are_distinct_and_match_files(self, traced_harness):
         harness, trace_dir = traced_harness
         ids = []
