@@ -15,8 +15,7 @@ Emits machine-readable ``BENCH_fullscale.json`` for CI next to the
 human table.  If the vectorized backend cannot use its compiled path
 (no scipy in the environment), the speedup gate is recorded as
 ``"gate": "skipped"`` and shouted to stderr rather than silently
-waved through — the same loud-downgrade contract as
-``bench_parallel_preprocess``.
+waved through.
 
 ``REPRO_BENCH_FULLSCALE_SCALE`` scales the city ladder (default 1.0).
 """

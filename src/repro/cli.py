@@ -83,9 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print per-phase graph-search statistics "
                            "(searches, cache hits, settled nodes) and "
                            "the engine cache summary")
-    plan.add_argument("--workers", type=int, default=1,
-                      help="process-pool size for the Algorithm 2 fan-out "
-                           "(1 = serial; results are bit-identical)")
     plan.add_argument("--kernel", choices=available_kernels(), default=None,
                       help="search-kernel backend (default: $REPRO_KERNEL, "
                            "then 'python'; results are bit-identical — "
@@ -96,9 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="Algorithm 2 strategy (default: "
                            "$REPRO_PREPROCESS, then 'inverted', which "
                            "batches preprocessing into one label field "
-                           "plus candidate balls; 'per-query' is the "
-                           "paper's literal loop — bit-identical plans "
-                           "either way)")
+                           "plus one query-rooted ball per query node; "
+                           "'per-query' is the paper's literal loop — "
+                           "bit-identical plans either way)")
     plan.add_argument("--trace", type=str, default=None, metavar="PATH",
                       help="record a trace of the run and write it in "
                            "Chrome trace-event format (open in "
@@ -111,9 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("-c", "--max-adjacent-cost", type=float, default=2.0)
     sweep.add_argument("--csv", type=str, default=None,
                        help="also export the rows to this CSV file")
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="process-pool size: parallelizes preprocessing "
-                           "and fans the per-K EBRR runs over workers")
     sweep.add_argument("--kernel", choices=available_kernels(), default=None,
                        help="search-kernel backend for every planner run "
                             "(rows are bit-identical across backends)")
@@ -182,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default C for /v1/plan requests (km)")
     serve.add_argument("--alpha", type=float, default=None,
                        help="utility trade-off (default: calibrated per city)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="process-pool size for preprocessing fan-out")
     serve.add_argument("--kernel", choices=available_kernels(), default=None,
                        help="search-kernel backend for every tenant")
     serve.add_argument("--preprocess", choices=PREPROCESS_STRATEGIES,
@@ -421,7 +413,7 @@ def _cmd_plan(args) -> int:
     with tracing() if args.trace else nullcontext() as trace:
         # One Algorithm 2 run calibrates α and is then planned on.
         alpha, instance, preprocess = calibrated_instance(
-            dataset, args.alpha, engine=engine, workers=args.workers,
+            dataset, args.alpha, engine=engine,
             strategy=args.preprocess_strategy,
         )
         preprocess_stats = engine.stats_since(stats_base)
@@ -429,7 +421,6 @@ def _cmd_plan(args) -> int:
             max_stops=args.max_stops,
             max_adjacent_cost=args.max_adjacent_cost,
             alpha=alpha,
-            workers=args.workers,
             kernel=args.kernel,
             preprocess_strategy=args.preprocess_strategy,
         )
@@ -508,7 +499,6 @@ def _cmd_serve(args) -> int:
                 max_stops=args.max_stops,
                 max_adjacent_cost=args.max_adjacent_cost,
                 alpha=args.alpha,
-                workers=args.workers,
                 kernel=args.kernel,
                 preprocess_strategy=args.preprocess_strategy,
                 cache_capacity=args.cache_capacity,
@@ -567,15 +557,14 @@ def _cmd_sweep(args) -> int:
             rows = effect_of_k(
                 dataset, ks, alpha=alpha,
                 max_adjacent_cost=args.max_adjacent_cost,
-                workers=args.workers, kernel=args.kernel,
+                kernel=args.kernel,
                 preprocess_strategy=args.preprocess_strategy,
             )
         _write_trace(trace, args.trace)
     else:
         rows = effect_of_k(
             dataset, ks, alpha=alpha, max_adjacent_cost=args.max_adjacent_cost,
-            workers=args.workers, kernel=args.kernel,
-            preprocess_strategy=args.preprocess_strategy,
+            kernel=args.kernel, preprocess_strategy=args.preprocess_strategy,
         )
     for value, title in (
         ("walk_cost", "Walking cost vs K"),

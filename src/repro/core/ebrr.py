@@ -94,7 +94,6 @@ def plan_route(
                 preprocess = preprocess_queries(
                     instance,
                     engine=engine,
-                    workers=config.workers,
                     strategy=config.preprocess_strategy,
                 )
 

@@ -63,7 +63,7 @@ PREPROCESS_STRATEGIES: Tuple[str, ...] = ("per-query", "inverted")
 
 #: Strategy used when neither the caller nor ``$REPRO_PREPROCESS``
 #: picks one.  ``inverted`` since the CI parity gates proved it
-#: bit-identical to ``per-query`` across kernels and worker counts;
+#: bit-identical to ``per-query`` across kernels;
 #: pass ``--preprocess per-query`` (or set ``$REPRO_PREPROCESS``) to
 #: opt back out.
 DEFAULT_PREPROCESS_STRATEGY = "inverted"
@@ -115,8 +115,8 @@ class PreprocessResult:
         initial_utility: ``U({v})`` for every stop in
             ``S_new ∪ S_existing`` (walking gain for candidates,
             ``α · |routes(v)|`` for existing stops).
-        searches: number of Dijkstra searches performed.  Strategy
-            defined, worker-count independent: the per-query path runs
+        searches: number of Dijkstra searches performed, as the
+            strategy defines them: the per-query path runs
             one search per distinct query node (``= len(nn_distance)``);
             the inverted path runs one multi-source field search plus
             one query-rooted ball per distinct query node
@@ -130,8 +130,7 @@ class PreprocessResult:
             ball settles its pruned reached set
             (``reachable + Σ |ball(q)|``).  Both definitions count
             *nodes*, not implementation steps, so they are identical
-            across kernel backends and across serial/fan-out
-            execution.
+            across kernel backends.
         strategy: the strategy that produced this result (carried so
             ``update_preprocess`` copies keep their provenance).
     """
@@ -175,7 +174,6 @@ def preprocess_queries(
     instance: BRRInstance,
     *,
     engine: Optional[SearchEngine] = None,
-    workers: int = 1,
     strategy: Optional[str] = None,
 ) -> PreprocessResult:
     """Run Algorithm 2 on ``instance``.
@@ -184,12 +182,6 @@ def preprocess_queries(
         instance: the BRR instance.
         engine: the search engine to run the searches on; defaults to
             the instance network's shared engine.
-        workers: shard the independent searches (per-query: the query
-            Dijkstras; inverted: the candidate balls) across this many
-            worker processes (see :mod:`repro.parallel`).  The default
-            ``1`` runs in-process; any value produces bit-identical
-            results, and the worker search counts are folded back into
-            ``engine``'s ``preprocess`` profile either way.
         strategy: ``"per-query"`` or ``"inverted"`` (see the module
             docstring); ``None`` resolves via ``$REPRO_PREPROCESS``
             then the default.
@@ -200,13 +192,10 @@ def preprocess_queries(
     Raises:
         GraphError: if some query node cannot reach any existing stop
             (the instance is malformed — Definition 5 needs ``nn(q)``).
-        ConfigurationError: if ``workers < 1``, the strategy is
-            unknown, or a candidate stop is also an existing stop (the
-            utilities of lines 11-16 would silently overwrite each
-            other).
+        ConfigurationError: if the strategy is unknown, or a
+            candidate stop is also an existing stop (the utilities of
+            lines 11-16 would silently overwrite each other).
     """
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     strategy = resolve_preprocess_strategy(strategy)
     result = PreprocessResult(strategy=strategy)
     if engine is None:
@@ -216,25 +205,24 @@ def preprocess_queries(
 
     # Lines 1-10, by either strategy.  Both produce the same table —
     # same floats, same RNN list order, same dict insertion order —
-    # regardless of strategy or workers; the inverted path merges its
+    # regardless of strategy; the inverted path merges its
     # columnar search output with array passes instead of a per-pair
     # python loop (see _group_by_candidate for the ordering argument).
     table: Optional[_InvertedTable] = None
     with span(
         "preprocess.searches",
         queries=len(counts),
-        workers=workers,
         strategy=strategy,
     ):
         if strategy == "inverted":
-            table = _inverted_search(instance, engine, result, workers)
+            table = _inverted_search(instance, engine, result)
             result.nn_distance.update(zip(table.nodes, table.nn_forward))
             for candidate, start, end in table.groups:
                 result.rnn[candidate] = list(
                     zip(table.qs[start:end], table.ds[start:end])
                 )
         else:
-            rows = _per_query_search(instance, engine, result, workers)
+            rows = _per_query_search(instance, engine, result)
             for query_node, _nn_stop, nn_dist, visited in rows:
                 result.nn_distance[query_node] = nn_dist
                 for candidate, dist in visited:
@@ -271,31 +259,17 @@ def _per_query_search(
     instance: BRRInstance,
     engine: SearchEngine,
     result: PreprocessResult,
-    workers: int,
 ) -> List[QuerySearchRow]:
     """The paper's literal loop: one early-terminated Dijkstra per
-    distinct query node (fanned over workers when asked)."""
+    distinct query node."""
     is_existing = instance.is_existing
     is_candidate = instance.is_candidate
-    nodes = list(instance.query_counts)
-    rows: List[QuerySearchRow]
-    if workers > 1:
-        # Deterministic fan-out: rows come back in `counts` order (see
-        # repro.parallel.fanout), bit-identical to the serial loop.
-        from ..parallel.fanout import run_query_searches
-
-        rows, worker_stats = run_query_searches(
-            instance.network, is_existing, is_candidate, nodes,
-            workers=workers, kernel=engine.kernel_name,
+    rows: List[QuerySearchRow] = []
+    for query_node in instance.query_counts:
+        nn_stop, nn_dist, visited = engine.query_search(
+            query_node, is_existing, is_candidate, phase="preprocess"
         )
-        engine.absorb("preprocess", worker_stats)
-    else:
-        rows = []
-        for query_node in nodes:
-            nn_stop, nn_dist, visited = engine.query_search(
-                query_node, is_existing, is_candidate, phase="preprocess"
-            )
-            rows.append((query_node, nn_stop, nn_dist, list(visited)))
+        rows.append((query_node, nn_stop, nn_dist, list(visited)))
     result.searches += len(rows)
     result.settled_nodes += sum(len(visited) + 1 for _q, _s, _d, visited in rows)
     return rows
@@ -325,12 +299,11 @@ def _inverted_search(
     instance: BRRInstance,
     engine: SearchEngine,
     result: PreprocessResult,
-    workers: int,
 ) -> _InvertedTable:
     """The inverted strategy: one multi-source label field from the
     existing stops hands every query its truncation radius, then one
-    batched query-rooted ball per distinct query node (fanned over
-    workers when asked), then a columnar regroup by candidate."""
+    batched query-rooted ball per distinct query node, then a columnar
+    regroup by candidate."""
     nodes = list(instance.query_counts)
     if not nodes:
         return _InvertedTable([], [], [], [], [])
@@ -352,23 +325,13 @@ def _inverted_search(
                 label_field.reachable
             )
     labels = [label_field.label[node] for node in nodes]
-    is_candidate = instance.is_candidate
-    with span("preprocess.balls", queries=len(nodes), workers=workers):
-        if workers > 1:
-            from ..parallel.fanout import run_query_rows
-
-            columns, worker_stats = run_query_rows(
-                instance.network, nodes, nn_forward, labels, is_candidate,
-                workers=workers, kernel=engine.kernel_name,
+    with span("preprocess.balls", queries=len(nodes)):
+        member_counts, member_nodes, member_dists, settled = (
+            engine.batch_query_rows(
+                nodes, nn_forward, labels, instance.is_candidate,
+                phase="preprocess",
             )
-            member_counts, member_nodes, member_dists, settled = columns
-            engine.absorb("preprocess", worker_stats)
-        else:
-            member_counts, member_nodes, member_dists, settled = (
-                engine.batch_query_rows(
-                    nodes, nn_forward, labels, is_candidate, phase="preprocess"
-                )
-            )
+        )
         ball_nodes = sum(settled)
         if active is not None:
             active.metrics.counter("preprocess.balls.count").inc(len(nodes))

@@ -92,19 +92,16 @@ def calibrated_instance(
     alpha: Optional[float] = None,
     *,
     engine: Optional[SearchEngine] = None,
-    workers: int = 1,
     strategy: Optional[str] = None,
 ) -> Tuple[float, BRRInstance, PreprocessResult]:
     """``(α, instance, preprocess)`` for planning on ``dataset`` with
     one Algorithm 2 run: ``α`` is calibrated from that run's candidate
     gains (unless given), and the run is repriced to ``α``.  The result
     equals ``preprocess_queries(dataset.instance(α))`` on the same
-    engine, workers and strategy.
+    engine and strategy.
     """
     instance = dataset.instance(1.0 if alpha is None else alpha)
-    preprocess = preprocess_queries(
-        instance, engine=engine, workers=workers, strategy=strategy
-    )
+    preprocess = preprocess_queries(instance, engine=engine, strategy=strategy)
     if alpha is None:
         alpha = calibrated_alpha(dataset, preprocess=preprocess)
         instance = dataset.instance(alpha)
@@ -152,14 +149,11 @@ def effect_of_k(
     max_adjacent_cost: float = 2.0,
     planners: Optional[Sequence[RoutePlanner]] = None,
     seed: int = 0,
-    workers: int = 1,
     kernel: Optional[str] = None,
     preprocess_strategy: Optional[str] = None,
 ) -> List[Row]:
     """One row per (K, algorithm): walking cost (Fig. 7), connectivity
     (Fig. 8), and execution time (Fig. 13) on the full demand.
-    ``workers > 1`` fans the Algorithm 2 preprocessing over a process
-    pool (see :mod:`repro.parallel`); the rows are identical.
     ``kernel`` picks the search backend and ``preprocess_strategy`` the
     Algorithm 2 execution strategy (also identical rows — both are
     speed knobs; see :mod:`repro.network.kernels` and
@@ -171,8 +165,7 @@ def effect_of_k(
     for k in ks:
         config = EBRRConfig(
             max_stops=k, max_adjacent_cost=max_adjacent_cost, alpha=alpha,
-            workers=workers, kernel=kernel,
-            preprocess_strategy=preprocess_strategy,
+            kernel=kernel, preprocess_strategy=preprocess_strategy,
         )
         with span("effect_of_k", dataset=dataset.name, K=k):
             plans = run_planners(

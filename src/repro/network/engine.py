@@ -70,7 +70,6 @@ __all__ = [
     "IncrementalNearest",
     "LabelField",
     "QuerySearchRow",
-    "finalize_query_rows",
     "engine_for",
     "DEFAULT_KERNEL",
     "KERNEL_IDS",
@@ -344,7 +343,7 @@ class SearchEngine:
     def absorb(self, phase: str, stats: SearchStats) -> None:
         """Fold search work executed *outside* this engine into the
         ``phase`` counters — the fan-out contract of
-        :mod:`repro.parallel`: worker processes run their chunks on
+        :func:`repro.parallel.sweep_plans`: worker processes plan on
         private engines and ship their :class:`SearchStats` back, so the
         owning engine's profile (``--profile-searches``) reports the
         same totals wherever the searches actually ran."""
@@ -692,23 +691,6 @@ class SearchEngine:
             self._csr, field.distance, list(targets), stats
         )
 
-    def candidate_rnn_balls(
-        self,
-        candidates: Sequence[int],
-        nn_distance: Sequence[float],
-        is_query: Sequence[bool],
-        *,
-        phase: str = "adhoc",
-    ) -> List[Tuple[List[Tuple[int, float]], int]]:
-        """One pruned RNN ball per candidate stop (see the kernel
-        contract).  Uncached — the result depends on the instance's
-        demand mask, not only on the graph."""
-        self._sync()
-        stats = self.counters(phase)
-        return self._kernel.candidate_rnn_balls(
-            self._csr, list(candidates), nn_distance, is_query, stats
-        )
-
     def batch_query_rows(
         self,
         query_nodes: Sequence[int],
@@ -862,44 +844,6 @@ class IncrementalNearest:
 
     def __getitem__(self, node: int) -> float:
         return self.distance[node]
-
-
-def finalize_query_rows(
-    query_nodes: Sequence[int],
-    field: LabelField,
-    nn_forward: Sequence[float],
-    candidates: Sequence[int],
-    balls: Sequence[Tuple[List[Tuple[int, float]], int]],
-) -> List[QuerySearchRow]:
-    """Assemble per-query :data:`QuerySearchRow` rows from the inverted
-    primitives — the pure merge step shared by the serial and fan-out
-    inverted paths.
-
-    For each candidate ball, a query node ``q`` in the ball belongs to
-    the candidate's RNN set iff ``(forward_dist, candidate)`` is
-    lexicographically below ``(nn_forward(q), nn_stop(q))`` — exactly the
-    per-query search's settle-order cutoff (the existing stop settles at
-    ``(nn_dist, nn_stop)`` and ends the search).  Each query's candidate
-    list is then sorted by ``(dist, candidate)``, reproducing the
-    per-query settle order bit-for-bit.
-    """
-    index = {q: i for i, q in enumerate(query_nodes)}
-    per_query: List[List[Tuple[float, int]]] = [[] for _ in query_nodes]
-    for candidate, (members, _settled) in zip(candidates, balls):
-        for node, fwd in members:
-            i = index.get(node)
-            if i is None:
-                continue
-            q = query_nodes[i]
-            if (fwd, candidate) < (nn_forward[i], field.label[q]):
-                per_query[i].append((fwd, candidate))
-    rows: List[QuerySearchRow] = []
-    for i, q in enumerate(query_nodes):
-        entries = sorted(per_query[i])
-        rows.append(
-            (q, field.label[q], nn_forward[i], [(c, d) for d, c in entries])
-        )
-    return rows
 
 
 def engine_for(

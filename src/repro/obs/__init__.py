@@ -18,8 +18,8 @@ snapshots, ``eval/timing`` stopwatch sinks, the perf-counter pairs in
   Perfetto), JSONL, and a deterministic text summary tree;
 * **cross-process collection** — pool workers ship
   :class:`~repro.obs.collect.TraceShard`\\ s back to the parent, so a
-  ``--workers 4`` run produces one trace with per-worker lanes and
-  metric totals identical to serial.
+  ``sweep_plans(workers=4)`` run produces one trace with per-worker
+  lanes whose metric totals are exactly what the workers measured.
 
 Quickstart::
 

@@ -1,10 +1,10 @@
 """Cross-process span collection: the worker ↔ parent trace contract.
 
-The parallel substrate (:mod:`repro.parallel`) runs chunks of work in
-pool processes.  Mirroring how each worker's ``SearchStats`` travel back
-for :meth:`SearchEngine.absorb`, each worker also ships its *spans* and
-*metric deltas* home, so a ``--workers 4`` run yields one coherent
-trace:
+The parameter sweep (:func:`repro.parallel.sweep_plans`) runs its
+configs in pool processes.  Mirroring how each worker's ``SearchStats``
+travel back for :meth:`SearchEngine.absorb`, each worker also ships its
+*spans* and *metric deltas* home, so a ``sweep_plans(workers=4)`` run
+yields one coherent trace:
 
 * the pool initializer calls :func:`begin_worker_trace`, installing a
   fresh enabled trace whose lane is ``worker-<pid>`` (a fork-started
@@ -15,7 +15,7 @@ trace:
   :class:`TraceShard` returned with the task result;
 * the parent calls :func:`merge_shard` on its enabled trace, appending
   the shard's spans (re-indexed, optionally parented under the parent's
-  fan-out span) and folding its metrics.
+  ``sweep`` span) and folding its metrics.
 
 Timestamps are *not* rebased: :mod:`repro.obs.clock` reads the
 system-wide monotonic clock, so parent and worker readings share a

@@ -65,7 +65,6 @@ class TenantSpec:
         max_adjacent_cost: default ``C`` likewise.
         alpha: utility trade-off; ``None`` calibrates it from the
             dataset exactly as the CLI does.
-        workers: process-pool size for preprocessing fan-out.
         kernel: search-kernel backend name (``None`` = resolved
             default).
         preprocess_strategy: Algorithm 2 strategy (``None`` = resolved
@@ -81,7 +80,6 @@ class TenantSpec:
     max_stops: int = 20
     max_adjacent_cost: float = 2.0
     alpha: Optional[float] = None
-    workers: int = 1
     kernel: Optional[str] = None
     preprocess_strategy: Optional[str] = None
     cache_capacity: Optional[int] = None
@@ -117,7 +115,6 @@ class Tenant:
             self.alpha, self.instance, self.preprocess = calibrated_instance(
                 self.dataset,
                 engine=self.engine,
-                workers=spec.workers,
                 strategy=spec.preprocess_strategy,
             )
         else:
@@ -148,7 +145,6 @@ class Tenant:
                 else max_adjacent_cost
             ),
             alpha=self.alpha,
-            workers=spec.workers,
             kernel=spec.kernel,
             preprocess_strategy=spec.preprocess_strategy,
             cache_capacity=spec.cache_capacity,
@@ -162,7 +158,6 @@ class Tenant:
             self.preprocess = preprocess_queries(
                 self.instance,
                 engine=self.engine,
-                workers=self.spec.workers,
                 strategy=self.spec.preprocess_strategy,
             )
         return self.preprocess
@@ -242,7 +237,6 @@ class Tenant:
             self.instance,
             self.ensure_preprocess(),
             queries,
-            workers=self.spec.workers,
         )
         self.instance = new_instance
         self.preprocess = new_preprocess

@@ -136,12 +136,6 @@ class TestDisjointnessGuard:
         with pytest.raises(ConfigurationError, match="disjoint"):
             preprocess_queries(toy_instance)
 
-    def test_workers_must_be_positive(self, toy_instance):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="workers"):
-            preprocess_queries(toy_instance, workers=0)
-
 
 class TestStrategies:
     """The inverted strategy on the worked toy example, plus the

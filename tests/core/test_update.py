@@ -166,25 +166,6 @@ class TestBulkRetirement:
             assert value == 0.0
             assert str(value) == "0.0"  # exactly +0.0, not -0.0 or dust
 
-    def test_parallel_added_nodes_match_serial(self, small_city):
-        instance = small_city.instance(alpha=25.0)
-        pre = preprocess_queries(instance)
-        used = set(instance.query_counts)
-        fresh = [v for v in instance.candidates if v not in used][:6]
-        assert len(fresh) >= 2
-        nodes = list(instance.queries.nodes) + fresh
-        new_queries = QuerySet(instance.network, nodes, name="grown")
-        _, serial, serial_stats = update_preprocess(
-            instance, pre, new_queries, workers=1
-        )
-        _, parallel, parallel_stats = update_preprocess(
-            instance, pre, new_queries, workers=2
-        )
-        assert serial_stats.added_nodes == parallel_stats.added_nodes == len(fresh)
-        assert serial.nn_distance == parallel.nn_distance
-        assert serial.rnn == parallel.rnn
-        assert serial.initial_utility == parallel.initial_utility
-
 
 class TestStrategyProvenance:
     def test_update_carries_strategy(self, toy_instance):

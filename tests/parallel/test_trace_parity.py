@@ -1,7 +1,8 @@
-"""Cross-process trace collection: a ``--workers N`` run must produce
-one coherent trace — spans from every worker lane, and ``search.*``
-metric totals *exactly* equal to the serial run (same integers, not
-approximately)."""
+"""Cross-process trace collection: a ``sweep_plans(workers=N)`` run must
+produce one coherent trace — spans from every worker lane, merged under
+the parent's ``sweep`` span, with ``search.*`` metric totals exactly
+what the workers measured — while a serial ``plan_route`` stays on the
+main lane."""
 
 import pytest
 
@@ -29,104 +30,92 @@ def _instance(seed=3):
     return BRRInstance(transit, queries, alpha=5.0)
 
 
-def _traced_plan(instance, workers, kernel=None, strategy=None):
+def _traced_plan(instance, strategy=None):
     # A fresh engine per run: a shared one would serve later runs from
-    # cache and skew the search counters the parity assertion compares.
-    engine = SearchEngine(instance.network, kernel=kernel)
+    # cache and skew the search counters.
+    engine = SearchEngine(instance.network)
     config = EBRRConfig(
-        max_stops=10, max_adjacent_cost=2.0, alpha=5.0, workers=workers,
-        kernel=kernel, preprocess_strategy=strategy,
+        max_stops=10, max_adjacent_cost=2.0, alpha=5.0,
+        preprocess_strategy=strategy,
     )
     with obs.tracing() as trace:
         result = plan_route(instance, config, engine=engine)
     return trace, result
 
 
-def _search_totals(trace):
-    return {
-        name: value
-        for name, value in trace.metrics.as_dict()["counters"].items()
-        if name.startswith("search.")
-    }
+def _traced_sweep(instance, workers):
+    configs = [
+        EBRRConfig(max_stops=k, max_adjacent_cost=2.0, alpha=5.0)
+        for k in (6, 8, 10, 12)
+    ]
+    with obs.tracing() as trace:
+        results = sweep_plans(instance, configs, workers=workers)
+    return trace, results
+
+
+def _invariant_counts(stats):
+    # ``pushes`` is backend-defined; every other counter is contract.
+    return (stats.searches, stats.settled, stats.truncated)
 
 
 class TestPlanRouteFoldBack:
-    @pytest.mark.parametrize("kernel", [None, "vectorized"])
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_metric_totals_identical_to_serial(self, workers, kernel):
-        # Runs under both search backends: the worker engines inherit
-        # the kernel (pickled by name into the pool initializer), and
-        # every search.total.* counter — pushes included, since serial
-        # and parallel use the *same* backend — must match exactly.
-        instance = _instance()
-        serial_trace, serial_result = _traced_plan(
-            instance, workers=1, kernel=kernel
-        )
-        par_trace, par_result = _traced_plan(
-            instance, workers=workers, kernel=kernel
-        )
-        assert _search_totals(par_trace) == _search_totals(serial_trace)
-        assert par_result.route.stops == serial_result.route.stops
+    """``plan_route`` runs in sweep workers fold their spans, metrics
+    and kernel choice back into the parent's trace."""
 
     @pytest.mark.parametrize("workers", [2])
     def test_kernels_agree_across_process_boundaries(self, workers):
-        """The full parallel pipeline is bit-identical across backends
-        on the invariant counters and the planned route."""
-        instance = _instance()
-        traces = {}
-        results = {}
+        """A kernel named in the config pickles by name into the sweep
+        workers, and the swept routes are bit-identical across
+        backends, as are the parent's invariant preprocess counters."""
+        traces, results, engines = {}, {}, {}
         for kernel in ("python", "vectorized"):
-            traces[kernel], results[kernel] = _traced_plan(
-                instance, workers=workers, kernel=kernel
-            )
-        assert (
-            results["python"].route.stops == results["vectorized"].route.stops
-        )
-        assert results["python"].route.path == results["vectorized"].route.path
-        totals_p = _search_totals(traces["python"])
-        totals_v = _search_totals(traces["vectorized"])
+            instance = _instance()
+            configs = [
+                EBRRConfig(
+                    max_stops=k, max_adjacent_cost=2.0, alpha=5.0, kernel=kernel
+                )
+                for k in (6, 10)
+            ]
+            engines[kernel] = SearchEngine(instance.network, kernel=kernel)
+            with obs.tracing() as traces[kernel]:
+                results[kernel] = sweep_plans(
+                    instance, configs, workers=workers, engine=engines[kernel]
+                )
+        for a, b in zip(results["python"], results["vectorized"]):
+            assert a.route.stops == b.route.stops
+            assert a.route.path == b.route.path
+            assert a.metrics.utility == b.metrics.utility
         invariant = {
-            name: value
-            for name, value in totals_p.items()
-            if not name.endswith(".pushes")  # backend-defined counter
+            kernel: _invariant_counts(engines[kernel].counters("preprocess"))
+            for kernel in engines
         }
-        assert invariant == {
-            name: value
-            for name, value in totals_v.items()
-            if not name.endswith(".pushes")
-        }
-        # The gauge records which backend ran the searches.
+        assert invariant["python"] == invariant["vectorized"]
+        # The gauge, shipped home in the worker shards, records which
+        # backend ran the searches.
         assert traces["python"].metrics.gauges["search.kernel"].value == 0
         assert traces["vectorized"].metrics.gauges["search.kernel"].value == 1
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_trace_has_worker_lanes(self, workers):
-        trace, _ = _traced_plan(_instance(), workers=workers)
+        trace, _ = _traced_sweep(_instance(), workers=workers)
         lanes = {span.lane for span in trace.spans}
         assert "main" in lanes
         worker_lanes = {l for l in lanes if l.startswith("worker-")}
         assert worker_lanes, f"no worker lanes in {sorted(lanes)}"
-        chunk_lanes = {
-            span.lane for span in trace.spans if span.name == "fanout.chunk"
+        plan_lanes = {
+            span.lane for span in trace.spans if span.name == "plan_route"
         }
-        assert chunk_lanes <= worker_lanes
-
-    def test_worker_spans_hang_under_the_fanout_span(self):
-        trace, _ = _traced_plan(_instance(), workers=2)
-        by_index = {span.index: span for span in trace.spans}
-        fanout = next(s for s in trace.spans if s.name == "fanout")
-        for chunk in (s for s in trace.spans if s.name == "fanout.chunk"):
-            assert by_index[chunk.parent] is fanout
+        assert plan_lanes <= worker_lanes
 
     def test_merged_trace_exports_valid_chrome_json(self):
-        trace, _ = _traced_plan(_instance(), workers=2)
+        trace, _ = _traced_sweep(_instance(), workers=2)
         obj = obs.chrome_trace(trace)
         assert obs.validate_chrome_trace(obj) == []
         lanes = obj["metadata"]["lanes"]
         assert lanes[0] == "main" and len(lanes) >= 2
 
     def test_serial_run_ships_no_shards(self):
-        trace, _ = _traced_plan(_instance(), workers=1)
+        trace, _ = _traced_plan(_instance())
         assert {span.lane for span in trace.spans} == {"main"}
         assert any(span.name == "preprocess.searches" for span in trace.spans)
 
@@ -168,30 +157,16 @@ class TestSweepFoldBack:
 
 
 class TestInvertedStrategyTraces:
-    """The inverted preprocessing path must keep the same trace
-    discipline as per-query: serial/parallel metric parity, worker
-    lanes for the ball chunks, and the new ``preprocess.labels`` /
-    ``preprocess.balls`` spans and counters present either way."""
-
-    @pytest.mark.parametrize("kernel", [None, "vectorized"])
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_metric_totals_identical_to_serial(self, workers, kernel):
-        instance = _instance()
-        serial_trace, serial_result = _traced_plan(
-            instance, workers=1, kernel=kernel, strategy="inverted"
-        )
-        par_trace, par_result = _traced_plan(
-            instance, workers=workers, kernel=kernel, strategy="inverted"
-        )
-        assert _search_totals(par_trace) == _search_totals(serial_trace)
-        assert par_result.route.stops == serial_result.route.stops
+    """The inverted preprocessing path keeps the same trace discipline
+    as per-query: the same route, and the ``preprocess.labels`` /
+    ``preprocess.balls`` spans and counters present."""
 
     def test_strategies_agree_on_route_and_invariant_counters(self):
         instance = _instance()
         traces, results = {}, {}
         for strategy in ("per-query", "inverted"):
             traces[strategy], results[strategy] = _traced_plan(
-                instance, workers=1, strategy=strategy
+                instance, strategy=strategy
             )
         assert (
             results["per-query"].route.stops == results["inverted"].route.stops
@@ -201,7 +176,7 @@ class TestInvertedStrategyTraces:
         )
 
     def test_preprocess_spans_and_counters_present(self):
-        trace, _ = _traced_plan(_instance(), workers=1, strategy="inverted")
+        trace, _ = _traced_plan(_instance(), strategy="inverted")
         names = {span.name for span in trace.spans}
         assert "preprocess.labels" in names
         assert "preprocess.balls" in names
@@ -210,18 +185,3 @@ class TestInvertedStrategyTraces:
         assert counters["preprocess.labels.reachable"] > 0
         assert counters["preprocess.balls.count"] > 0
         assert counters["preprocess.balls.settled"] > 0
-
-    def test_ball_chunks_run_in_worker_lanes(self):
-        trace, _ = _traced_plan(_instance(), workers=2, strategy="inverted")
-        lanes = {span.lane for span in trace.spans}
-        worker_lanes = {l for l in lanes if l.startswith("worker-")}
-        assert worker_lanes, f"no worker lanes in {sorted(lanes)}"
-        chunk_lanes = {
-            span.lane for span in trace.spans if span.name == "fanout.ball_chunk"
-        }
-        assert chunk_lanes and chunk_lanes <= worker_lanes
-        by_index = {span.index: span for span in trace.spans}
-        fanout = next(s for s in trace.spans if s.name == "fanout")
-        for chunk in (s for s in trace.spans if s.name == "fanout.ball_chunk"):
-            assert by_index[chunk.parent] is fanout
-        assert obs.validate_chrome_trace(obs.chrome_trace(trace)) == []

@@ -121,12 +121,13 @@ def test_adding_sources_never_increases_distance(network, seed):
 )
 def test_bounded_sssp_agrees_with_unbounded_within_bound(network, seed, max_cost):
     """The cost-bounded search must return exactly the unbounded
-    distances for nodes within the bound and inf beyond it."""
+    distances for nodes within the bound and inf beyond it.  The bound
+    is exact (``d <= max_cost``), so a node one ulp beyond it is out."""
     source = seed % network.num_nodes
     full = shortest_path_costs(network, source)
     bounded = shortest_path_costs(network, source, max_cost=max_cost)
     for v in network.nodes():
-        if full[v] <= max_cost + 1e-9:
+        if full[v] <= max_cost:
             assert bounded[v] == full[v]
         else:
             assert bounded[v] == math.inf

@@ -5,7 +5,7 @@ query-rooted ball per distinct query node) must produce preprocessing
 output **equal** to the paper's per-query loop — same ``nn_distance``
 / ``rnn`` / ``initial_utility`` contents *including dict insertion
 order* — and bit-identical downstream ``EBRRResult``s, across the
-three synthetic city families, both kernel backends, and workers 1/2.
+three synthetic city families and both kernel backends.
 Equality is exact ``==`` on floats: query balls accumulate distances
 from the query side — the reference per-query association — and the
 truncation radius is forward-replayed from the label field (see
@@ -152,65 +152,3 @@ class TestAccounting:
             other.searches,
             other.settled_nodes,
         )
-
-
-@pytest.mark.parallel
-class TestWorkersParity:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("family", ["grid", "radial", "sprawl"])
-    def test_inverted_workers_bit_identical(self, family, kernel):
-        instance = _instance(family, seed=3)
-        serial = preprocess_queries(
-            instance,
-            engine=SearchEngine(instance.network, kernel=kernel),
-            strategy="inverted",
-            workers=1,
-        )
-        fanned = preprocess_queries(
-            instance,
-            engine=SearchEngine(instance.network, kernel=kernel),
-            strategy="inverted",
-            workers=2,
-        )
-        assert_equal_preprocessing(serial, fanned)
-        assert (serial.searches, serial.settled_nodes) == (
-            fanned.searches,
-            fanned.settled_nodes,
-        )
-
-    @pytest.mark.parametrize("strategy", ["per-query", "inverted"])
-    def test_accounting_worker_count_independent(self, strategy):
-        """Satellite: ``searches``/``settled_nodes`` must not depend on
-        how the work was sharded — per strategy, serial == workers 2."""
-        instance = _instance("sprawl", seed=7)
-        by_workers = {
-            workers: preprocess_queries(
-                instance,
-                engine=SearchEngine(instance.network),
-                strategy=strategy,
-                workers=workers,
-            )
-            for workers in (1, 2)
-        }
-        assert (by_workers[1].searches, by_workers[1].settled_nodes) == (
-            by_workers[2].searches,
-            by_workers[2].settled_nodes,
-        )
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_cross_strategy_cross_workers_grid(self, kernel):
-        """The full 2x2 (strategy x workers) grid agrees on output."""
-        reference = None
-        for strategy in ("per-query", "inverted"):
-            for workers in (1, 2):
-                instance = _instance("grid", seed=11)
-                result = preprocess_queries(
-                    instance,
-                    engine=SearchEngine(instance.network, kernel=kernel),
-                    strategy=strategy,
-                    workers=workers,
-                )
-                if reference is None:
-                    reference = result
-                else:
-                    assert_equal_preprocessing(reference, result)
