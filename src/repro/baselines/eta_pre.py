@@ -92,7 +92,7 @@ class ETAPre(RoutePlanner):
         self._spacing = stop_spacing_km
         self._seed = seed
         self._cache: Optional[_Preprocessed] = None
-        self._cache_key: Optional[int] = None
+        self._cache_instance: Optional[BRRInstance] = None
 
     # ------------------------------------------------------------------
 
@@ -120,15 +120,14 @@ class ETAPre(RoutePlanner):
 
     def invalidate_cache(self) -> None:
         self._cache = None
-        self._cache_key = None
+        self._cache_instance = None
 
     # ------------------------------------------------------------------
     # Offline phase
     # ------------------------------------------------------------------
 
     def _preprocess(self, instance: BRRInstance) -> "_Preprocessed":
-        key = id(instance)
-        if self._cache is not None and self._cache_key == key:
+        if self._cache is not None and self._cache_instance is instance:
             return self._cache
         count = max(10, min(2000, int(len(instance.queries) * self._traj_fraction)))
         trajectories = synthesize_trajectories(
@@ -145,7 +144,7 @@ class ETAPre(RoutePlanner):
                 sampled.append(path[-1])
             traj_points.append([instance.network.coordinate(v) for v in sampled])
         self._cache = _Preprocessed(trajectories, frequencies, traj_points, gain_evaluator)
-        self._cache_key = key
+        self._cache_instance = instance
         return self._cache
 
     # ------------------------------------------------------------------

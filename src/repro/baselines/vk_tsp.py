@@ -70,7 +70,7 @@ class VkTSP(RoutePlanner):
         self._length_factor = length_factor
         self._seed = seed
         self._cache: Optional[_TrajectoryIndex] = None
-        self._cache_key: Optional[int] = None
+        self._cache_instance: Optional[BRRInstance] = None
 
     def plan(self, instance: BRRInstance, config: EBRRConfig) -> BaselinePlan:
         timings: Dict[str, float] = {}
@@ -93,20 +93,19 @@ class VkTSP(RoutePlanner):
 
     def invalidate_cache(self) -> None:
         self._cache = None
-        self._cache_key = None
+        self._cache_instance = None
 
     # ------------------------------------------------------------------
 
     def _preprocess(self, instance: BRRInstance) -> "_TrajectoryIndex":
-        key = id(instance)
-        if self._cache is not None and self._cache_key == key:
+        if self._cache is not None and self._cache_instance is instance:
             return self._cache
         count = max(10, min(3000, int(len(instance.queries) * self._traj_fraction)))
         trajectories = synthesize_trajectories(
             instance.queries, count, seed=self._seed
         )
         self._cache = _TrajectoryIndex(instance, trajectories)
-        self._cache_key = key
+        self._cache_instance = instance
         return self._cache
 
     def _grow(

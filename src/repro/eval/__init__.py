@@ -30,7 +30,6 @@ from .regression import ComparisonReport, Regression, compare_rows
 from .reporting import format_series, format_table, print_and_save, save_report
 from .runner import EBRRPlanner, default_planners, run_planners
 from .sensitivity import seed_robustness
-from .timing import stopwatch, timed
 
 __all__ = [
     "walking_cost",
@@ -69,6 +68,4 @@ __all__ = [
     "format_series",
     "save_report",
     "print_and_save",
-    "stopwatch",
-    "timed",
 ]

@@ -7,7 +7,7 @@ shared instance so experiments get comparable rows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.base import BaselinePlan, RoutePlanner
 from ..core.config import EBRRConfig
@@ -36,18 +36,18 @@ class EBRRPlanner(RoutePlanner):
     def __init__(self, *, reuse_preprocessing: bool = False) -> None:
         self._reuse = reuse_preprocessing
         self._cache: Optional[PreprocessResult] = None
-        self._cache_key: Optional[tuple] = None
+        self._cache_key: Optional[Tuple[BRRInstance, float]] = None
 
     def plan(self, instance: BRRInstance, config: EBRRConfig) -> BaselinePlan:
         preprocess = None
         if self._reuse:
-            key = (id(instance), instance.alpha)
-            if self._cache_key == key:
+            key = self._cache_key
+            if key is not None and key[0] is instance and key[1] == instance.alpha:
                 preprocess = self._cache
             else:
                 preprocess = preprocess_queries(instance)
                 self._cache = preprocess
-                self._cache_key = key
+                self._cache_key = (instance, instance.alpha)
         result = plan_route(instance, config, preprocess=preprocess)
         return BaselinePlan(
             route=result.route, metrics=result.metrics, timings=result.timings

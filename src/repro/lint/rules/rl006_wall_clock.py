@@ -4,9 +4,9 @@ The per-phase timings in :class:`repro.core.result.EBRRResult` and the
 runtime figures of the evaluation harness are differences of clock
 readings.  ``time.time()`` is wall-clock: NTP slews and DST jumps make
 its differences wrong by arbitrary amounts, and its resolution is
-platform-dependent.  Everything downstream of :mod:`repro.eval.timing`
-must use ``time.perf_counter()`` (which that module wraps) — this rule
-flags ``time.time()`` calls and ``from time import time`` imports.
+platform-dependent.  Durations are measured through :mod:`repro.obs`
+(``now``/``stopwatch``/``timed``, which wrap ``time.perf_counter()``) —
+this rule flags ``time.time()`` calls and ``from time import time`` imports.
 Wall-clock timestamps for *labelling* a report (not measuring a
 duration) are legitimate; suppress those lines explicitly.
 """
@@ -24,7 +24,7 @@ class WallClockTimingRule(Rule):
     title = "wall-clock-timing"
     rationale = (
         "time.time() differences drift under NTP/DST; measure durations "
-        "with time.perf_counter() via repro.eval.timing (stopwatch, timed)"
+        "with time.perf_counter() via repro.obs (now, stopwatch, timed)"
     )
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -38,7 +38,7 @@ class WallClockTimingRule(Rule):
             self.report(
                 node,
                 "time.time() used for timing; use time.perf_counter() "
-                "(see repro.eval.timing.stopwatch/timed)",
+                "(see repro.obs.stopwatch/timed)",
             )
         self.generic_visit(node)
 

@@ -8,8 +8,7 @@ and it silently drifts from the span-derived numbers next to it.  All
 clock reads go through :mod:`repro.obs.clock` — ``now()`` for a raw
 reading, ``stopwatch``/``timed`` for sinks, ``span`` for anything that
 should appear in the trace.  ``repro/obs/clock.py`` itself (the single
-sanctioned call site) and the :mod:`repro.eval.timing` compatibility
-shim are exempt.
+sanctioned call site) is exempt.
 """
 
 from __future__ import annotations
@@ -18,9 +17,8 @@ import ast
 
 from ..registry import Rule, register
 
-#: Path fragments this rule never fires in: the sanctioned clock module
-#: and the thin re-export shim kept for backward compatibility.
-_EXEMPT_FRAGMENTS = ("repro/obs/", "repro\\obs\\", "eval/timing.py", "eval\\timing.py")
+#: Path fragments this rule never fires in: the sanctioned clock package.
+_EXEMPT_FRAGMENTS = ("repro/obs/", "repro\\obs\\")
 
 
 @register

@@ -3,8 +3,8 @@
 The :mod:`repro.network.kernels` package is the *algorithmic substrate*
 of the search layer — raw Dijkstra/frontier-relaxation loops with no
 caching, no stats ledger, and no snapshot invalidation.  Calling a
-kernel directly re-opens every hole :class:`SearchEngine` closed
-(RL001, one layer down): redundant searches, invisible work, stale CSR
+kernel directly re-opens every hole :class:`SearchEngine` closed:
+redundant searches, invisible work, stale CSR
 reads, and results that silently diverge from the profile the engine
 reports.  Only ``network/engine.py`` (the orchestrator) and the kernels
 package itself may import it; everyone else selects a backend *by

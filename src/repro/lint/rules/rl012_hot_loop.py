@@ -13,7 +13,7 @@ backend exists to absorb.
 Detection is the facts pass's loop records: the **innermost** loop of a
 nest whose header or body reads one of those attributes, in any module
 outside the kernels package.  The sanctioned substrate (``engine.py``,
-``csr.py``, the legacy compat wrappers) is excluded by path in
+``csr.py``, ``graph.py``) is excluded by path in
 ``[tool.reprolint.rule-excludes]``; the two known pre-existing hot
 loops (``astar.py``, ``transit/journey.py``) carry inline suppressions
 counted by the baseline ratchet — they may only disappear, never

@@ -11,15 +11,6 @@ from .candidates import candidate_mask, insert_edge_midpoints, node_candidates
 from .contraction import ContractionHierarchy
 from .csr import CSRAdjacency
 from .engine import CacheInfo, IncrementalNearest, SearchEngine, SearchStats, engine_for
-from .dijkstra import (  # reprolint: disable=RL001  (public re-export)
-    IncrementalNearestDistance,
-    distance_between,
-    multi_source_costs,
-    query_preprocessing_search,
-    search_to_nearest,
-    shortest_path,
-    shortest_path_costs,
-)
 from .dimacs import read_dimacs, write_dimacs
 from .generators import grid_city, radial_city, sprawl_city
 from .interop import from_networkx, to_networkx
@@ -36,13 +27,6 @@ __all__ = [
     "CacheInfo",
     "IncrementalNearest",
     "engine_for",
-    "shortest_path_costs",
-    "shortest_path",
-    "distance_between",
-    "search_to_nearest",
-    "query_preprocessing_search",
-    "multi_source_costs",
-    "IncrementalNearestDistance",
     "grid_city",
     "radial_city",
     "sprawl_city",

@@ -62,8 +62,7 @@ def astar_path(
             ``target``; defaults to the Euclidean heuristic.
 
     Returns:
-        ``(path, cost)`` — identical to
-        :func:`repro.network.dijkstra.shortest_path`.
+        ``(path, cost)`` — identical to :meth:`SearchEngine.path`.
 
     Raises:
         GraphError: if ``target`` is unreachable.

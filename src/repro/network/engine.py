@@ -34,11 +34,6 @@ with a single owned, cacheable, observable substrate:
 Results returned from cached entries are the cached objects themselves:
 **treat every returned list as read-only.**
 
-Algorithmic behaviour is bit-identical to the legacy free functions in
-:mod:`repro.network.dijkstra` (same neighbor order, same tie-breaking,
-same epsilon) — the equivalence test suite asserts this on grid, radial
-and sprawl generators.
-
 This module is the only importer of :mod:`repro.network.kernels`
 (reprolint RL009); it re-exports :func:`available_kernels`,
 :func:`resolve_kernel` and :data:`KERNEL_IDS` for config/CLI/metrics
@@ -413,8 +408,7 @@ class SearchEngine:
     ) -> List[float]:
         """Single-source shortest path costs (cached).
 
-        Equivalent to :func:`repro.network.dijkstra.shortest_path_costs`;
-        with ``max_cost`` nodes beyond the bound are ``inf``.  The
+        With ``max_cost`` nodes beyond the bound are ``inf``.  The
         returned list is shared with the cache — **read-only**.
 
         Args:
@@ -456,9 +450,9 @@ class SearchEngine:
         cached: bool = True,
     ) -> List[float]:
         """Cost of the cheapest path from *any* source to each node
-        (cached; equivalent to
-        :func:`repro.network.dijkstra.multi_source_costs`).  The
-        returned list is shared with the cache — **read-only**."""
+        (cached; Dijkstra from a virtual super-source joined to every
+        source by a zero-cost edge).  The returned list is shared with
+        the cache — **read-only**."""
         self._sync()
         stats = self.counters(phase)
         source_list = list(sources)
@@ -479,9 +473,9 @@ class SearchEngine:
     def path(
         self, source: int, target: int, *, phase: str = "adhoc"
     ) -> Tuple[List[int], float]:
-        """The cheapest path between two nodes and its cost (cached;
-        equivalent to :func:`repro.network.dijkstra.shortest_path`).
-        The returned path list is shared with the cache — **read-only**.
+        """The cheapest path between two nodes and its cost (cached).
+        The returned path list starts at ``source``, ends at ``target``
+        and is shared with the cache — **read-only**.
 
         Raises:
             GraphError: if ``target`` is unreachable.
@@ -504,8 +498,7 @@ class SearchEngine:
         upper_bound: Optional[float] = None,
         phase: str = "adhoc",
     ) -> float:
-        """Network distance between two nodes with target early stop
-        (equivalent to :func:`repro.network.dijkstra.distance_between`).
+        """Network distance between two nodes with target early stop.
         Served from a cached SSSP row when one exists; ``inf`` when
         ``upper_bound`` is given and the true distance exceeds it.
 
@@ -566,9 +559,11 @@ class SearchEngine:
         phase: str = "adhoc",
     ) -> Tuple[int, float]:
         """Settle outward from ``source`` until a node satisfying
-        ``is_target`` is found (equivalent to
-        :func:`repro.network.dijkstra.search_to_nearest`; uncached — the
-        predicate is opaque).
+        ``is_target`` is found (the first settled target is the nearest
+        by the Dijkstra property; uncached — the predicate is opaque).
+
+        Returns:
+            ``(target_node, distance)``.
 
         Raises:
             GraphError: if no target node is reachable.
@@ -585,10 +580,13 @@ class SearchEngine:
         *,
         phase: str = "adhoc",
     ) -> Tuple[int, float, List[Tuple[int, float]]]:
-        """The per-query search of Algorithm 2 (equivalent to
-        :func:`repro.network.dijkstra.query_preprocessing_search`):
-        Dijkstra from ``query_node`` until the first settled existing
-        stop, collecting candidate stops settled on the way.  Uncached —
+        """The per-query search of Algorithm 2 (lines 2-10): Dijkstra
+        from ``query_node`` until the first settled existing stop
+        ``nn(q)``, collecting candidate stops settled on the way.
+        Returns ``(nn_stop, nn_distance, visited_candidates)``, the last
+        a list of ``(candidate_stop, distance)`` pairs settled strictly
+        before ``nn(q)`` — exactly the stops whose reverse-nearest-
+        neighbour sets contain the query.  Uncached —
         the result depends on the instance's stop masks, not only on the
         graph.
 
@@ -808,10 +806,13 @@ class SearchEngine:
 class IncrementalNearest:
     """Nearest-distance-to-a-growing-set maintenance on the engine.
 
-    Behaviourally identical to
-    :class:`repro.network.dijkstra.IncrementalNearestDistance` (the
-    equivalence suite asserts it) but runs on the engine's CSR arrays
-    and accounts its pruned relaxation searches to the engine's stats.
+    Maintains ``distance[v] = min over s in S of dist(v, s)`` for a set
+    ``S`` that only grows.  Adding a source runs one Dijkstra from it,
+    pruned wherever the tentative cost is no better than the known
+    distance, on the engine's CSR arrays; the relaxation searches are
+    accounted to the engine's stats.  EBRR keeps ``dist(·, B)`` to the
+    growing solution set this way.  Build one with
+    :meth:`SearchEngine.incremental_nearest`.
     """
 
     def __init__(self, engine: SearchEngine, phase: str) -> None:

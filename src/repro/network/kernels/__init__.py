@@ -10,8 +10,8 @@ bit-identical, so backends are interchangeable mid-run without
 invalidating engine caches.
 
 Architecture note: nothing outside ``network/engine.py`` may import
-from this package (reprolint rule RL009, the RL001 story one layer
-down).  Callers pick a backend by *name* — via ``EBRRConfig.kernel``,
+from this package (reprolint rule RL009): every search goes through
+the engine's cache and stats.  Callers pick a backend by *name* — via ``EBRRConfig.kernel``,
 ``--kernel``, or the ``REPRO_KERNEL`` environment variable — and the
 engine re-exports :func:`available_kernels` / :func:`resolve_kernel`
 for anything that needs to validate a name.

@@ -1,8 +1,7 @@
 """The reference backend: pure-Python ``heapq`` Dijkstra loops.
 
 These are the loops that previously lived inline in
-:class:`~repro.network.engine.SearchEngine` (and before that as the
-free functions of :mod:`repro.network.dijkstra`), moved here verbatim.
+:class:`~repro.network.engine.SearchEngine`, moved here verbatim.
 They iterate the CSR snapshot's *list* views positionally — plain list
 indexing is the fastest per-element access CPython offers, and it keeps
 every distance a native ``float`` (indexing the numpy views instead

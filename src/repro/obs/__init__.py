@@ -2,7 +2,7 @@
 
 One observability surface for the whole system, replacing the four
 ad-hoc mechanisms that grew alongside it (engine ``SearchStats``
-snapshots, ``eval/timing`` stopwatch sinks, the perf-counter pairs in
+snapshots, the harness's stopwatch sinks, the perf-counter pairs in
 ``plan_route``, and the diagnostics report's own timing table):
 
 * **clock** — :func:`now`, :func:`stopwatch`, :func:`timed`: the single

@@ -6,6 +6,8 @@ from repro.baselines.eta_pre import ETAPre, _cap_stops
 from repro.core.config import EBRRConfig
 from repro.exceptions import ConfigurationError
 
+from ..conftest import half_demand
+
 
 @pytest.fixture
 def instance(small_city):
@@ -41,6 +43,24 @@ class TestPlan:
         second = planner.plan(instance, config)
         assert second.timings["preprocess"] <= first.timings["preprocess"]
         planner.invalidate_cache()
+
+    def test_cache_is_not_inherited_through_a_recycled_id(
+        self, small_city, monkeypatch
+    ):
+        """Every ``id()`` in the module is forced equal, as when a new
+        instance is allocated where a dead one lived: the new instance
+        must still get its own trajectories."""
+        from repro.baselines import eta_pre
+
+        monkeypatch.setattr(eta_pre, "id", lambda obj: 0, raising=False)
+        half = half_demand(small_city).instance(alpha=25.0)
+        planner = ETAPre(num_candidates=4, seed=2)
+        first = planner._preprocess(small_city.instance(alpha=25.0))
+        second = planner._preprocess(half)
+        assert second is not first
+        fresh = ETAPre(num_candidates=4, seed=2)._preprocess(half)
+        assert second.trajectories == fresh.trajectories
+        assert planner._preprocess(half) is second
 
     def test_invalid_candidates(self):
         with pytest.raises(ConfigurationError):

@@ -7,6 +7,8 @@ from repro.baselines.vk_tsp import VkTSP, _TrajectoryIndex
 from repro.baselines.trajectories import synthesize_trajectories
 from repro.core.config import EBRRConfig
 
+from ..conftest import half_demand
+
 
 @pytest.fixture
 def instance(small_city):
@@ -54,7 +56,7 @@ class TestPlan:
         trajectory distance beats the average random *contiguous* path
         of the same node count (apples to apples — a scattered random
         node set is not a bus route)."""
-        from repro.network.dijkstra import shortest_path
+        from repro.network.engine import engine_for
 
         planner = VkTSP(seed=5)
         plan = planner.plan(instance, config)
@@ -67,11 +69,30 @@ class TestPlan:
             a, b = rng.integers(0, instance.network.num_nodes, size=2)
             if a == b:
                 continue
-            path, _cost = shortest_path(instance.network, int(a), int(b))
+            path, _cost = engine_for(instance.network).path(int(a), int(b))
             random_dists.append(
                 _summed_distance(index, path[: len(plan.route.path)])
             )
         assert route_dist < sum(random_dists) / len(random_dists)
+
+
+    def test_index_is_not_inherited_through_a_recycled_id(
+        self, small_city, monkeypatch
+    ):
+        """Every ``id()`` in the module is forced equal, as when a new
+        instance is allocated where a dead one lived: the new instance
+        must still get its own trajectory index."""
+        from repro.baselines import vk_tsp
+
+        monkeypatch.setattr(vk_tsp, "id", lambda obj: 0, raising=False)
+        half = half_demand(small_city).instance(alpha=25.0)
+        planner = VkTSP(seed=5)
+        first = planner._preprocess(small_city.instance(alpha=25.0))
+        second = planner._preprocess(half)
+        assert second is not first
+        fresh = VkTSP(seed=5)._preprocess(half)
+        assert second._frequencies == fresh._frequencies
+        assert planner._preprocess(half) is second
 
 
 class TestTrajectoryIndex:

@@ -133,6 +133,16 @@ def grid_network() -> RoadNetwork:
     return RoadNetwork(coords, edges)
 
 
+def half_demand(dataset):
+    """``dataset`` with every other demand query kept: a different
+    instance over the same network and transit."""
+    from repro.datasets.cities import CityDataset
+    from repro.demand.query import QuerySet
+
+    queries = QuerySet(dataset.network, dataset.queries.nodes[::2])
+    return CityDataset(dataset.name, dataset.network, dataset.transit, queries)
+
+
 @pytest.fixture
 def small_city():
     """A cached small synthetic city for integration tests."""

@@ -5,6 +5,8 @@ import pytest
 from repro.core.config import EBRRConfig
 from repro.eval.runner import EBRRPlanner, default_planners, run_planners
 
+from ..conftest import half_demand
+
 
 @pytest.fixture
 def instance(small_city):
@@ -44,6 +46,25 @@ class TestEBRRPlanner:
         planner.invalidate_cache()
         refreshed = planner.plan(instance, config)
         assert refreshed.route.num_stops >= 2
+
+    def test_cache_is_not_inherited_through_a_recycled_id(
+        self, small_city, config, monkeypatch
+    ):
+        """Every ``id()`` in the module is forced equal, as when a new
+        instance with the same α is allocated where a dead one lived:
+        the new instance must get its own Algorithm 2 result."""
+        from repro.core.ebrr import plan_route
+        from repro.core.preprocess import preprocess_queries
+        from repro.eval import runner
+
+        monkeypatch.setattr(runner, "id", lambda obj: 0, raising=False)
+        half = half_demand(small_city).instance(alpha=25.0)
+        planner = EBRRPlanner(reuse_preprocessing=True)
+        planner.plan(small_city.instance(alpha=25.0), config)
+        plan = planner.plan(half, config)
+        expected = preprocess_queries(half)
+        assert planner._cache.initial_utility == expected.initial_utility
+        assert plan.route.stops == plan_route(half, config).route.stops
 
     def test_name(self):
         assert EBRRPlanner().name == "EBRR"

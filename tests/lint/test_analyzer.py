@@ -1,5 +1,5 @@
 """Analyzer-level behaviour: repo cleanliness, suppressions, config,
-and the violation the linter was built to catch (RL001 in astar.py)."""
+and a kernel-confinement regression in astar.py (RL009)."""
 
 import os
 import textwrap
@@ -35,19 +35,19 @@ def test_repo_source_tree_is_clean():
 
 
 def test_astar_regression_would_be_caught():
-    """Re-introducing the pre-PR dijkstra import in astar.py must fail
-    the lint gate with RL001 (the acceptance criterion's revert check)."""
+    """Importing a kernel backend directly in astar.py, past the engine,
+    must fail the lint gate with RL009."""
     astar = os.path.join(SRC, "repro", "network", "astar.py")
     with open(astar, "r", encoding="utf-8") as handle:
         source = handle.read()
-    assert "from .dijkstra import" not in source
+    assert "from .kernels" not in source
     regressed = source.replace(
         "from .engine import engine_for",
-        "from .dijkstra import shortest_path_costs\nfrom .engine import engine_for",
+        "from .kernels.python import PythonKernel\nfrom .engine import engine_for",
     )
     config = load_config(REPO_ROOT)
     violations = check_source(regressed, path=astar, config=config)
-    assert [v.rule_id for v in violations] == ["RL001"]
+    assert [v.rule_id for v in violations] == ["RL009"]
 
 
 # ----------------------------------------------------------------------
@@ -125,16 +125,16 @@ def test_config_disable_turns_a_rule_off():
 
 def test_config_rule_excludes_are_path_scoped():
     config = config_from_table(
-        {"rule-excludes": {"RL001": ["src/repro/network/engine.py"]}}
+        {"rule-excludes": {"RL005": ["src/repro/network/engine.py"]}}
     )
-    bad = "from repro.network.dijkstra import shortest_path_costs\n"
+    bad = "def f(xs=[]):\n    return xs\n"
     assert (
         check_source(bad, path="src/repro/network/engine.py", config=config) == []
     )
     assert [
         v.rule_id
         for v in check_source(bad, path="src/repro/core/ebrr.py", config=config)
-    ] == ["RL001"]
+    ] == ["RL005"]
 
 
 def test_config_global_exclude_skips_files():
@@ -150,7 +150,6 @@ def test_select_restricts_rules():
 
 def test_registry_is_complete():
     assert sorted(all_rules()) == [
-        "RL001",
         "RL002",
         "RL003",
         "RL004",

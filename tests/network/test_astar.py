@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError, GraphError
 from repro.network.astar import LandmarkIndex, astar_distance, astar_path
-from repro.network.dijkstra import shortest_path, shortest_path_costs
+from repro.network.engine import engine_for
 
 from ..conftest import V1, V2, V3, V4, V5, V6, V7, V8
 
@@ -14,7 +14,7 @@ from ..conftest import V1, V2, V3, V4, V5, V6, V7, V8
 class TestAStar:
     def test_matches_dijkstra_on_toy(self, toy_network):
         for source in range(8):
-            costs = shortest_path_costs(toy_network, source)
+            costs = engine_for(toy_network).sssp(source)
             for target in range(8):
                 assert astar_distance(toy_network, source, target) == (
                     pytest.approx(costs[target])
@@ -24,7 +24,7 @@ class TestAStar:
         path, cost = astar_path(toy_network, V1, V5)
         assert path[0] == V1 and path[-1] == V5
         assert toy_network.is_path(path)
-        reference, expected = shortest_path(toy_network, V1, V5)
+        reference, expected = engine_for(toy_network).path(V1, V5)
         assert cost == pytest.approx(expected)
 
     def test_same_node(self, toy_network):
@@ -40,7 +40,7 @@ class TestAStar:
             astar_path(network, 0, 2)
 
     def test_matches_dijkstra_on_grid(self, grid_network):
-        costs = shortest_path_costs(grid_network, 0)
+        costs = engine_for(grid_network).sssp(0)
         for target in (5, 17, 35):
             assert astar_distance(grid_network, 0, target) == (
                 pytest.approx(costs[target])
@@ -48,14 +48,14 @@ class TestAStar:
 
     def test_custom_heuristic_zero_is_dijkstra(self, grid_network):
         got = astar_distance(grid_network, 0, 35, heuristic=lambda v: 0.0)
-        assert got == pytest.approx(shortest_path_costs(grid_network, 0)[35])
+        assert got == pytest.approx(engine_for(grid_network).sssp(0)[35])
 
 
 class TestLandmarkIndex:
     def test_lower_bound_is_valid(self, grid_network):
         index = LandmarkIndex(grid_network, num_landmarks=4)
         costs_from = {
-            v: shortest_path_costs(grid_network, v) for v in (0, 14, 35)
+            v: engine_for(grid_network).sssp(v) for v in (0, 14, 35)
         }
         for u in (0, 14, 35):
             for v in grid_network.nodes():
@@ -64,7 +64,7 @@ class TestLandmarkIndex:
     def test_distance_exact(self, toy_network):
         index = LandmarkIndex(toy_network, num_landmarks=3)
         for u in range(8):
-            costs = shortest_path_costs(toy_network, u)
+            costs = engine_for(toy_network).sssp(u)
             for v in range(8):
                 assert index.distance(u, v) == pytest.approx(costs[v])
 
@@ -72,11 +72,10 @@ class TestLandmarkIndex:
         index = LandmarkIndex(grid_network, num_landmarks=3)
         assert len(set(index.landmarks)) == 3
         # farthest-point placement: pairwise distances are large
-        from repro.network.dijkstra import distance_between
 
         for i, a in enumerate(index.landmarks):
             for b in index.landmarks[i + 1:]:
-                assert distance_between(grid_network, a, b) >= 3.0
+                assert engine_for(grid_network).distance(a, b) >= 3.0
 
     def test_heuristic_dominates_euclidean_somewhere(self, grid_network):
         """ALT should beat the straight-line bound on at least one pair

@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError, GraphError
 from repro.network.contraction import ContractionHierarchy
-from repro.network.dijkstra import shortest_path_costs
+from repro.network.engine import engine_for
 
 from ..conftest import V1, V5
 
@@ -15,7 +15,7 @@ class TestCorrectness:
     def test_exact_on_toy(self, toy_network):
         ch = ContractionHierarchy(toy_network)
         for source in range(8):
-            costs = shortest_path_costs(toy_network, source)
+            costs = engine_for(toy_network).sssp(source)
             for target in range(8):
                 assert ch.distance(source, target) == pytest.approx(
                     costs[target]
@@ -24,7 +24,7 @@ class TestCorrectness:
     def test_exact_on_grid(self, grid_network):
         ch = ContractionHierarchy(grid_network)
         for source in (0, 14, 35):
-            costs = shortest_path_costs(grid_network, source)
+            costs = engine_for(grid_network).sssp(source)
             for target in range(grid_network.num_nodes):
                 assert ch.distance(source, target) == pytest.approx(
                     costs[target]
@@ -40,7 +40,7 @@ class TestCorrectness:
         rng = np.random.default_rng(0)
         for _ in range(25):
             s = int(rng.integers(0, network.num_nodes))
-            costs = shortest_path_costs(network, s)
+            costs = engine_for(network).sssp(s)
             t = int(rng.integers(0, network.num_nodes))
             assert ch.distance(s, t) == pytest.approx(costs[t])
 
@@ -69,7 +69,7 @@ class TestCorrectness:
         ch = ContractionHierarchy(grid_network)
         targets = [0, 7, 21, 35]
         batched = ch.distances_from(14, targets)
-        costs = shortest_path_costs(grid_network, 14)
+        costs = engine_for(grid_network).sssp(14)
         for target, got in zip(targets, batched):
             assert got == pytest.approx(costs[target])
 

@@ -21,10 +21,10 @@ class TestToNetworkx:
         assert graph.nodes[5]["y"] == 3.0
 
     def test_shortest_paths_agree(self, grid_network):
-        from repro.network.dijkstra import shortest_path_costs
+        from repro.network.engine import engine_for
 
         graph = to_networkx(grid_network)
-        ours = shortest_path_costs(grid_network, 0)
+        ours = engine_for(grid_network).sssp(0)
         theirs = nx.single_source_dijkstra_path_length(graph, 0)
         for node in grid_network.nodes():
             assert ours[node] == pytest.approx(theirs[node])

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro.exceptions import ConfigurationError, GraphError
-from repro.network.dijkstra import shortest_path
+from repro.network.engine import engine_for
 from repro.network.ksp import k_shortest_paths
 
 from ..conftest import V1, V2, V3, V4, V5, V6, V7, V8
@@ -14,7 +14,7 @@ from ..conftest import V1, V2, V3, V4, V5, V6, V7, V8
 class TestBasics:
     def test_first_path_is_shortest(self, toy_network):
         paths = k_shortest_paths(toy_network, V1, V4, 3)
-        reference, cost = shortest_path(toy_network, V1, V4)
+        reference, cost = engine_for(toy_network).path(V1, V4)
         assert paths[0][0] == reference
         assert paths[0][1] == pytest.approx(cost)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import GraphError
-from repro.network.dijkstra import distance_between, shortest_path_costs
+from repro.network.engine import engine_for
 from repro.network.graph import RoadNetwork
 from repro.network.simplify import contract_degree_two
 
@@ -45,9 +45,9 @@ class TestDistancePreservation:
     def test_distances_exact_on_toy(self, toy_network):
         result = contract_degree_two(toy_network)
         for i, orig_i in enumerate(result.original_ids):
-            original = shortest_path_costs(toy_network, orig_i)
+            original = engine_for(toy_network).sssp(orig_i)
             for j, orig_j in enumerate(result.original_ids):
-                assert distance_between(result.network, i, j) == (
+                assert engine_for(result.network).distance(i, j) == (
                     pytest.approx(original[orig_j])
                 ), f"{orig_i}->{orig_j}"
 
@@ -64,8 +64,8 @@ class TestDistancePreservation:
         for _ in range(12):
             i = int(rng.integers(0, len(ids)))
             j = int(rng.integers(0, len(ids)))
-            expected = distance_between(network, ids[i], ids[j])
-            assert distance_between(result.network, i, j) == (
+            expected = engine_for(network).distance(ids[i], ids[j])
+            assert engine_for(result.network).distance(i, j) == (
                 pytest.approx(expected)
             )
 
@@ -77,9 +77,9 @@ class TestDistancePreservation:
         for stop in stops:
             assert stop in result.new_id_of
         a, b = stops[0], stops[1]
-        expected = distance_between(small_city.network, a, b)
-        got = distance_between(
-            result.network, result.new_id_of[a], result.new_id_of[b]
+        expected = engine_for(small_city.network).distance(a, b)
+        got = engine_for(result.network).distance(
+            result.new_id_of[a], result.new_id_of[b]
         )
         assert got == pytest.approx(expected)
 
@@ -96,6 +96,6 @@ class TestDistancePreservation:
             orig_i = once.original_ids[mid_id]
             for j, mid_j in enumerate(twice.original_ids):
                 orig_j = once.original_ids[mid_j]
-                assert distance_between(twice.network, i, j) == pytest.approx(
-                    distance_between(toy_network, orig_i, orig_j)
+                assert engine_for(twice.network).distance(i, j) == pytest.approx(
+                    engine_for(toy_network).distance(orig_i, orig_j)
                 )

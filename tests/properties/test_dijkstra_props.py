@@ -7,13 +7,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.dijkstra import (
-    IncrementalNearestDistance,
-    distance_between,
-    multi_source_costs,
-    shortest_path,
-    shortest_path_costs,
-)
+from repro.network.engine import engine_for
 from repro.network.graph import RoadNetwork
 
 
@@ -54,7 +48,7 @@ def _to_networkx(network):
 @given(network=connected_networks(), source_seed=st.integers(0, 10 ** 6))
 def test_costs_match_networkx(network, source_seed):
     source = source_seed % network.num_nodes
-    ours = shortest_path_costs(network, source)
+    ours = engine_for(network).sssp(source)
     reference = nx.single_source_dijkstra_path_length(
         _to_networkx(network), source
     )
@@ -67,7 +61,7 @@ def test_costs_match_networkx(network, source_seed):
 def test_shortest_path_is_valid_and_optimal(network, seed):
     source = seed % network.num_nodes
     target = (seed // 7) % network.num_nodes
-    path, cost = shortest_path(network, source, target)
+    path, cost = engine_for(network).path(source, target)
     assert path[0] == source and path[-1] == target
     assert network.is_path(path)
     assert network.path_cost(path) == pytest.approx(cost)
@@ -81,9 +75,9 @@ def test_shortest_path_is_valid_and_optimal(network, seed):
 def test_triangle_inequality(network, seed):
     n = network.num_nodes
     a, b, c = seed % n, (seed // 3) % n, (seed // 11) % n
-    d_ab = distance_between(network, a, b)
-    d_bc = distance_between(network, b, c)
-    d_ac = distance_between(network, a, c)
+    d_ab = engine_for(network).distance(a, b)
+    d_bc = engine_for(network).distance(b, c)
+    d_ac = engine_for(network).distance(a, c)
     assert d_ac <= d_ab + d_bc + 1e-9
 
 
@@ -92,10 +86,10 @@ def test_triangle_inequality(network, seed):
 def test_incremental_equals_multi_source(network, seed):
     n = network.num_nodes
     sources = sorted({seed % n, (seed // 5) % n, (seed // 23) % n})
-    incremental = IncrementalNearestDistance(network)
+    incremental = engine_for(network).incremental_nearest()
     for s in sources:
         incremental.add_source(s)
-    expected = multi_source_costs(network, sources)
+    expected = engine_for(network).multi_source(sources)
     for v in network.nodes():
         assert incremental.distance[v] == pytest.approx(expected[v])
 
@@ -104,7 +98,7 @@ def test_incremental_equals_multi_source(network, seed):
 @given(network=connected_networks(), seed=st.integers(0, 10 ** 6))
 def test_adding_sources_never_increases_distance(network, seed):
     n = network.num_nodes
-    incremental = IncrementalNearestDistance(network)
+    incremental = engine_for(network).incremental_nearest()
     previous = [math.inf] * n
     for k in range(3):
         incremental.add_source((seed // (k + 1)) % n)
@@ -124,8 +118,8 @@ def test_bounded_sssp_agrees_with_unbounded_within_bound(network, seed, max_cost
     distances for nodes within the bound and inf beyond it.  The bound
     is exact (``d <= max_cost``), so a node one ulp beyond it is out."""
     source = seed % network.num_nodes
-    full = shortest_path_costs(network, source)
-    bounded = shortest_path_costs(network, source, max_cost=max_cost)
+    full = engine_for(network).sssp(source)
+    bounded = engine_for(network).sssp(source, max_cost=max_cost)
     for v in network.nodes():
         if full[v] <= max_cost:
             assert bounded[v] == full[v]
@@ -142,8 +136,8 @@ def test_bounded_sssp_agrees_with_unbounded_within_bound(network, seed, max_cost
 def test_bounded_multi_source_agrees_with_unbounded(network, seed, max_cost):
     n = network.num_nodes
     sources = sorted({seed % n, (seed // 5) % n, (seed // 23) % n})
-    full = multi_source_costs(network, sources)
-    bounded = multi_source_costs(network, sources, max_cost=max_cost)
+    full = engine_for(network).multi_source(sources)
+    bounded = engine_for(network).multi_source(sources, max_cost=max_cost)
     for v in network.nodes():
         if full[v] <= max_cost + 1e-9:
             assert bounded[v] == full[v]

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.network.astar import LandmarkIndex, astar_distance, astar_path
 from repro.network.contraction import ContractionHierarchy
-from repro.network.dijkstra import shortest_path_costs
 from repro.network.engine import engine_for
 from repro.network.graph import RoadNetwork
 from repro.network.ksp import k_shortest_paths
@@ -41,7 +40,7 @@ def planar_networks(draw):
 @given(network=planar_networks(), seed=st.integers(0, 10 ** 6))
 def test_astar_matches_dijkstra(network, seed):
     source = seed % network.num_nodes
-    costs = shortest_path_costs(network, source)
+    costs = engine_for(network).sssp(source)
     for target in range(network.num_nodes):
         assert astar_distance(network, source, target) == pytest.approx(
             costs[target]
@@ -53,7 +52,7 @@ def test_astar_matches_dijkstra(network, seed):
 def test_alt_matches_dijkstra(network, seed):
     index = LandmarkIndex(network, num_landmarks=3)
     source = seed % network.num_nodes
-    costs = shortest_path_costs(network, source)
+    costs = engine_for(network).sssp(source)
     for target in range(network.num_nodes):
         assert index.distance(source, target) == pytest.approx(costs[target])
 
@@ -69,7 +68,7 @@ def test_astar_engine_equivalence(network, seed):
     target = (seed // 13) % network.num_nodes
     row = engine.sssp(source, phase="equivalence")
     # The engine row is bit-identical to the legacy free function.
-    assert row == shortest_path_costs(network, source)
+    assert row == engine_for(network).sssp(source)
     assert astar_distance(network, source, target) == pytest.approx(row[target])
     if source != target:
         before = engine.counters("astar").copy()
@@ -90,7 +89,7 @@ def test_landmark_tables_ride_the_engine_cache(network, seed):
     index = LandmarkIndex(network, num_landmarks=2, seed_node=seed % network.num_nodes)
     engine = engine_for(network)
     for landmark, table in zip(index.landmarks, index._tables):
-        assert table == shortest_path_costs(network, landmark)
+        assert table == engine_for(network).sssp(landmark)
         # A later engine query from the same landmark is a cache hit
         # returning the very same row object.
         assert engine.sssp(landmark, phase="reuse") is table
@@ -101,7 +100,7 @@ def test_landmark_tables_ride_the_engine_cache(network, seed):
 def test_ch_matches_dijkstra(network, seed):
     ch = ContractionHierarchy(network)
     source = seed % network.num_nodes
-    costs = shortest_path_costs(network, source)
+    costs = engine_for(network).sssp(source)
     for target in range(network.num_nodes):
         assert ch.distance(source, target) == pytest.approx(costs[target])
 
@@ -114,7 +113,7 @@ def test_yen_first_path_and_ordering(network, seed):
     if source == target:
         return
     paths = k_shortest_paths(network, source, target, 4)
-    costs = shortest_path_costs(network, source)
+    costs = engine_for(network).sssp(source)
     assert paths[0][1] == pytest.approx(costs[target])
     values = [c for _, c in paths]
     assert values == sorted(values)

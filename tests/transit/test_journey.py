@@ -59,11 +59,11 @@ class TestTravelTime:
 
     def test_never_worse_than_walking(self, toy_transit):
         planner = JourneyPlanner(toy_transit)
-        from repro.network.dijkstra import shortest_path_costs
+        from repro.network.engine import engine_for
 
         walk_min_per_km = 60.0 / 5.0
         for origin in range(8):
-            costs = shortest_path_costs(toy_transit.road_network, origin)
+            costs = engine_for(toy_transit.road_network).sssp(origin)
             for dest in range(8):
                 assert (
                     planner.travel_time(origin, dest)
