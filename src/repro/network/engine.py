@@ -96,7 +96,7 @@ class SearchStats:
             both kernels count the same node sets).
         pushes: frontier insertions over all searches, including seeds.
             This is the one *backend-defined* counter — heap pushes for
-            the python kernel, scatter-min improvements for the
+            the python kernel, reached plus fringe nodes for the
             vectorized one (see ``kernels.base``).
         truncated: nodes discarded for exceeding a cost bound
             (backend-independent).

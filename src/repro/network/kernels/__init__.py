@@ -3,8 +3,9 @@
 This package is the algorithmic substrate of the search layer: the
 engine owns caching, per-phase stats and snapshot invalidation, and
 delegates every primitive search to a :class:`SearchKernel` backend.
-``python`` is the reference heapq implementation; ``vectorized`` is the
-numpy CSR frontier-relaxation backend for full-scale cities.  Both obey
+``python`` is the reference heapq implementation; ``vectorized`` runs
+the dense primitives on scipy's compiled csgraph Dijkstra for
+full-scale cities.  Both obey
 the relaxation-order contract documented in :mod:`.base` — results are
 bit-identical, so backends are interchangeable mid-run without
 invalidating engine caches.

@@ -32,10 +32,10 @@ with strictly positive edge costs:
 * **counters**: ``searches``, ``settled`` and ``truncated`` are
   identical to the reference backend — they count *nodes*, not
   implementation steps, and the node sets are fixed by the contract.
-  ``pushes`` is the one backend-defined counter: it measures frontier
-  insertions under the backend's own relaxation schedule (heap pushes
-  for the heapq backend, scatter-min improvements for the vectorized
-  one) and is documented as a work measure, not an invariant.
+  ``pushes`` is the one backend-defined counter: a work measure, not
+  an invariant (heap pushes for the heapq backend; the reached plus
+  truncated-fringe node count for the vectorized one, whose compiled
+  Dijkstra does not expose its own heap).
 
 The inverted-preprocessing primitives
 -------------------------------------

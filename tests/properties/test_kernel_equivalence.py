@@ -15,12 +15,11 @@ the contract.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.exceptions import GraphError
 from repro.network.engine import SearchEngine, available_kernels
 from repro.network.generators import grid_city, radial_city, sprawl_city
-from repro.network.kernels.vectorized import VectorizedKernel  # reprolint: disable=RL009
 
 
 @st.composite
@@ -43,31 +42,31 @@ def cities(draw):
     return sprawl_city(draw(st.integers(20, 80)), extent_km=6.0, seed=seed)
 
 
-def engines(network, use_scipy=None):
-    """A fresh engine pair (reference, vectorized) over one network.
-
-    ``use_scipy`` pins the vectorized execution path: the compiled
-    scipy Dijkstra or the pure-numpy bucketed frontier fallback.  Both
-    must satisfy the same bit-identity contract, so the overridden
-    primitives are tested against each explicitly (``None`` means
-    whatever the environment resolves, as production would)."""
-    if use_scipy is None:
-        vectorized = SearchEngine(network, kernel="vectorized")
-    else:
-        # resolve_kernel passes instances through — the sanctioned
-        # escape hatch for pinning backend internals in tests.
-        vectorized = SearchEngine(
-            network, kernel=VectorizedKernel(use_scipy=use_scipy)
-        )
-    return SearchEngine(network, kernel="python"), vectorized
+def engines(network):
+    """A fresh engine pair (reference, vectorized) over one network."""
+    return (
+        SearchEngine(network, kernel="python"),
+        SearchEngine(network, kernel="vectorized"),
+    )
 
 
 def bound_from(draw_value, network):
-    """Map a hypothesis float in [0, 1] to a useful cost bound: None
-    (unbounded) for values near 1, else a radius within the city."""
+    """Map a hypothesis float in [0, 1] to a cost bound: None (unbounded)
+    for values near 1, the degenerate ``0.0`` and negative bounds at the
+    low end, else a radius within the city."""
     if draw_value > 0.85:
         return None
+    if draw_value < 0.1:
+        return 0.0 if draw_value < 0.05 else -1.0
     return 0.3 + draw_value * 4.0
+
+
+def with_degenerate_bounds(test):
+    """Pin one example each for the ``0.0`` and the negative bound of
+    :func:`bound_from`, which random draws may miss."""
+    for b in (0.0, 0.07):
+        test = example(network=grid_city(4, 4, seed=3), seed=5, b=b)(test)
+    return test
 
 
 def invariant_counters(engine, phase="adhoc"):
@@ -85,11 +84,11 @@ def test_both_backends_registered():
     assert available_kernels() == ["python", "vectorized"]
 
 
-@pytest.mark.parametrize("use_scipy", [True, False], ids=["scipy", "frontier"])
+@with_degenerate_bounds
 @settings(max_examples=40, deadline=None)
 @given(network=cities(), seed=st.integers(0, 10 ** 6), b=st.floats(0, 1))
-def test_sssp_bit_identical(use_scipy, network, seed, b):
-    ep, ev = engines(network, use_scipy=use_scipy)
+def test_sssp_bit_identical(network, seed, b):
+    ep, ev = engines(network)
     source = seed % network.num_nodes
     max_cost = bound_from(b, network)
     rp = ep.sssp(source, max_cost=max_cost, cached=False)
@@ -99,11 +98,11 @@ def test_sssp_bit_identical(use_scipy, network, seed, b):
     assert invariant_counters(ep) == invariant_counters(ev)
 
 
-@pytest.mark.parametrize("use_scipy", [True, False], ids=["scipy", "frontier"])
+@with_degenerate_bounds
 @settings(max_examples=30, deadline=None)
 @given(network=cities(), seed=st.integers(0, 10 ** 6), b=st.floats(0, 1))
-def test_multi_source_bit_identical(use_scipy, network, seed, b):
-    ep, ev = engines(network, use_scipy=use_scipy)
+def test_multi_source_bit_identical(network, seed, b):
+    ep, ev = engines(network)
     n = network.num_nodes
     sources = [seed % n, (seed // 7) % n, (seed // 91) % n]
     max_cost = bound_from(b, network)
@@ -125,6 +124,7 @@ def test_path_bit_identical(network, seed):
     assert cp == cv
 
 
+@with_degenerate_bounds
 @settings(max_examples=30, deadline=None)
 @given(network=cities(), seed=st.integers(0, 10 ** 6), b=st.floats(0, 1))
 def test_distance_bit_identical(network, seed, b):
@@ -173,11 +173,10 @@ def test_query_search_bit_identical(network, seed, m):
     assert invariant_counters(ep) == invariant_counters(ev)
 
 
-@pytest.mark.parametrize("use_scipy", [True, False], ids=["scipy", "frontier"])
 @settings(max_examples=40, deadline=None)
 @given(network=cities(), seed=st.integers(0, 10 ** 6), b=st.floats(0.05, 1))
-def test_nodes_within_bit_identical(use_scipy, network, seed, b):
-    ep, ev = engines(network, use_scipy=use_scipy)
+def test_nodes_within_bit_identical(network, seed, b):
+    ep, ev = engines(network)
     source = seed % network.num_nodes
     max_cost = 0.2 + b * 3.0
     rp = ep.nodes_within(source, max_cost, cached=False)
@@ -189,6 +188,7 @@ def test_nodes_within_bit_identical(use_scipy, network, seed, b):
     assert invariant_counters(ep) == invariant_counters(ev)
 
 
+@with_degenerate_bounds
 @settings(max_examples=25, deadline=None)
 @given(network=cities(), seed=st.integers(0, 10 ** 6), b=st.floats(0, 1))
 def test_incremental_nearest_bit_identical(network, seed, b):
@@ -207,11 +207,10 @@ def test_incremental_nearest_bit_identical(network, seed, b):
     assert invariant_counters(ep, "inc") == invariant_counters(ev, "inc")
 
 
-@pytest.mark.parametrize("use_scipy", [True, False], ids=["scipy", "frontier"])
 @settings(max_examples=30, deadline=None)
 @given(network=cities(), seed=st.integers(0, 10 ** 6), m=st.integers(3, 11))
-def test_multi_source_labels_bit_identical(use_scipy, network, seed, m):
-    ep, ev = engines(network, use_scipy=use_scipy)
+def test_multi_source_labels_bit_identical(network, seed, m):
+    ep, ev = engines(network)
     n = network.num_nodes
     sources = [u for u in range(n) if u % m == m - 1] or [seed % n]
     fp = ep.multi_source_labels(sources, cached=False)
@@ -222,11 +221,10 @@ def test_multi_source_labels_bit_identical(use_scipy, network, seed, m):
     assert invariant_counters(ep) == invariant_counters(ev)
 
 
-@pytest.mark.parametrize("use_scipy", [True, False], ids=["scipy", "frontier"])
 @settings(max_examples=30, deadline=None)
 @given(network=cities(), seed=st.integers(0, 10 ** 6), m=st.integers(3, 11))
-def test_forward_replay_bit_identical(use_scipy, network, seed, m):
-    ep, ev = engines(network, use_scipy=use_scipy)
+def test_forward_replay_bit_identical(network, seed, m):
+    ep, ev = engines(network)
     n = network.num_nodes
     sources = [u for u in range(n) if u % m == m - 1] or [seed % n]
     field = ep.multi_source_labels(sources, cached=False)
@@ -239,11 +237,10 @@ def test_forward_replay_bit_identical(use_scipy, network, seed, m):
         assert rp[s] == 0.0
 
 
-@pytest.mark.parametrize("use_scipy", [True, False], ids=["scipy", "frontier"])
 @settings(max_examples=25, deadline=None)
 @given(network=cities(), seed=st.integers(0, 10 ** 6), m=st.integers(3, 11))
-def test_batch_query_rows_bit_identical(use_scipy, network, seed, m):
-    ep, ev = engines(network, use_scipy=use_scipy)
+def test_batch_query_rows_bit_identical(network, seed, m):
+    ep, ev = engines(network)
     n = network.num_nodes
     sources = [u for u in range(n) if u % m == m - 1] or [seed % n]
     source_set = set(sources)
